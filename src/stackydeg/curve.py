@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from .blowup import AnSing
-from .errors import SchemaError
+from .errors import SchemaError, is_int
 
 __all__ = [
     "Component",
@@ -247,7 +247,7 @@ class TwistedCurve:
                 raise SchemaError(p, "expected a component object")
             cid = _expect_id(c, "id", p)
             genus = c.get("genus")
-            if not isinstance(genus, int) or genus < 0:
+            if not is_int(genus) or genus < 0:
                 raise SchemaError(f"{p}/genus", "expected a non-negative integer")
             components.append(Component(cid, genus))
         nodes = []
@@ -261,7 +261,7 @@ class TwistedCurve:
                     or not all(isinstance(e, (str, int)) for e in ends)):
                 raise SchemaError(f"{p}/ends", "expected a pair of component ids")
             stab = n.get("stab", 1)
-            if not isinstance(stab, int) or stab < 1:
+            if not is_int(stab) or stab < 1:
                 raise SchemaError(f"{p}/stab", "expected a positive integer")
             persistent = n.get("persistent", False)
             if not isinstance(persistent, bool):
@@ -269,8 +269,8 @@ class TwistedCurve:
             sing = None
             if "sing" in n and n["sing"] is not None:
                 s = n["sing"]
-                if (not isinstance(s, dict) or not isinstance(s.get("a"), int)
-                        or not isinstance(s.get("mu"), int)):
+                if (not isinstance(s, dict) or not is_int(s.get("a"))
+                        or not is_int(s.get("mu"))):
                     raise SchemaError(f"{p}/sing", "expected {'a': int, 'mu': int}")
                 try:
                     sing = AnSing(s["a"], s["mu"])
@@ -287,7 +287,7 @@ class TwistedCurve:
             if not isinstance(comp, (str, int)):
                 raise SchemaError(f"{p}/comp", "expected a component id")
             gerbe = m.get("gerbe", 1)
-            if not isinstance(gerbe, int) or gerbe < 1:
+            if not is_int(gerbe) or gerbe < 1:
                 raise SchemaError(f"{p}/gerbe", "expected a positive integer")
             markings.append(Marking(mid, str(comp), gerbe))
         try:
@@ -431,7 +431,7 @@ class MultiDegree:
         if not isinstance(obj, dict):
             raise SchemaError(pointer, "expected a multidegree object")
         factors = obj.get("factors")
-        if not isinstance(factors, int) or factors < 1:
+        if not is_int(factors) or factors < 1:
             raise SchemaError(f"{pointer}/factors", "expected a positive integer")
         rows = obj.get("deg")
         if not isinstance(rows, list) or len(rows) != factors:
@@ -443,6 +443,9 @@ class MultiDegree:
                 raise SchemaError(f"{pointer}/deg/{k}", "expected an object")
             for comp, value in row.items():
                 try:
+                    # a float is not exact, and a bool is not a number
+                    if not (is_int(value) or isinstance(value, str)):
+                        raise TypeError(value)
                     deg[(k, str(comp))] = Fraction(value)
                 except (ValueError, ZeroDivisionError, TypeError):
                     raise SchemaError(f"{pointer}/deg/{k}/{comp}",
@@ -458,6 +461,9 @@ class GradingSpec:
     def __init__(self, d=None, weights=None):
         if weights is not None:
             weights = tuple(None if w is None else tuple(w) for w in weights)
+            for k, w in enumerate(weights):
+                if w is not None and not w:
+                    raise CurveError(f"factor {k}: empty weight list")
         if d is None:
             if weights is None or any(w is None for w in weights):
                 raise CurveError("grading needs d or a full set of weight lists")
@@ -472,8 +478,6 @@ class GradingSpec:
             for k, w in enumerate(weights):
                 if w is None:
                     continue
-                if not w:
-                    raise CurveError(f"factor {k}: empty weight list")
                 if max(abs(x) for x in w) != d[k]:
                     raise CurveError(
                         f"factor {k}: d={d[k]} is not the maximal absolute weight"
@@ -513,7 +517,7 @@ class GradingSpec:
         d = obj.get("d")
         if d is not None:
             if (not isinstance(d, list) or not d
-                    or not all(isinstance(x, int) and x >= 1 for x in d)):
+                    or not all(is_int(x) and x >= 1 for x in d)):
                 raise SchemaError(f"{pointer}/d", "expected a list of positive integers")
         weights = obj.get("weights")
         if weights is not None:
@@ -522,9 +526,9 @@ class GradingSpec:
             for k, w in enumerate(weights):
                 if w is None:
                     continue
-                if not isinstance(w, list) or not all(isinstance(x, int) for x in w):
+                if not isinstance(w, list) or not w or not all(is_int(x) for x in w):
                     raise SchemaError(f"{pointer}/weights/{k}",
-                                      "expected a list of integers or null")
+                                      "expected a non-empty list of integers or null")
         try:
             return cls(tuple(d) if d is not None else None, weights)
         except CurveError as exc:

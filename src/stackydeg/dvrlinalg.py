@@ -8,14 +8,24 @@ are the orders of the invariant factors and are independent of the
 elimination choices; the elimination itself is made deterministic by
 always pivoting on an entry of minimal valuation, ties broken by the
 smallest (row, column) pair.
+
+When only the valuations are wanted (``transforms=False``, the path the
+degeneration engine takes), one elimination runs on the power-series
+coefficients of t**shift * a modulo t**N, with plain Fraction
+coefficients and no rational-function arithmetic. Smith form commutes
+with reduction mod t**N, so every pivot of order < N found there is a
+true invariant valuation. N starts at 8 and doubles until all n pivots
+are found. Past a proven bound on val(det(t**shift * a)), read off the
+entry degrees after clearing each row's denominators, a missing pivot
+can only mean det = 0, so the matrix is declared singular exactly then.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SchemaError
-from .field import INFINITE, RatFunc, format_ratfunc, parse_ratfunc, t_power
+from .errors import SchemaError, is_int
+from .field import INFINITE, RatFunc, _porder, format_ratfunc, parse_ratfunc, t_power
 
 __all__ = [
     "Mat",
@@ -169,9 +179,9 @@ class Mat:
             if key not in obj:
                 raise SchemaError(pointer, f"missing field {key!r}")
         rows, cols = obj["rows"], obj["cols"]
-        if not isinstance(rows, int) or rows < 1:
+        if not is_int(rows) or rows < 1:
             raise SchemaError(f"{pointer}/rows", "expected a positive integer")
-        if not isinstance(cols, int) or cols < 1:
+        if not is_int(cols) or cols < 1:
             raise SchemaError(f"{pointer}/cols", "expected a positive integer")
         entries = obj["entries"]
         if not isinstance(entries, list) or len(entries) != rows:
@@ -208,7 +218,151 @@ def clear_denominators(a: Mat) -> int:
 
 def valuation_of_det(a: Mat):
     """Valuation of det(a); INFINITE when the determinant vanishes."""
-    return a.det().val()
+    try:
+        snf = smith_normal_form(a, transforms=False)
+    except SingularMatrixError:
+        return INFINITE
+    return sum(snf.diag_valuations) - a.rows * snf.shift
+
+
+# ---------------------------------------------------------------------------
+# Valuation-only elimination over Q[t]/(t^N). A power series is a list of
+# N Fraction coefficients, lowest power first.
+
+_PRECISION_START = 8
+
+
+def _order(s: list, start: int) -> int:
+    """Index of the first nonzero coefficient at or after ``start``."""
+    for k in range(start, len(s)):
+        if s[k]:
+            return k
+    return len(s)
+
+
+def _series_div(num, den, prec: int) -> list:
+    """The first ``prec`` coefficients of num/den, where den(0) != 0."""
+    out = []
+    inv0 = 1 / den[0]
+    tail = den[1:]
+    for k in range(prec):
+        acc = num[k] if k < len(num) else 0
+        for j, d in enumerate(tail[:k], 1):
+            if d:
+                acc -= d * out[k - j]
+        out.append(acc * inv0)
+    return out
+
+
+def _truncated_valuations(a: Mat) -> tuple:
+    """(diag_valuations, shift) of the local-ring Smith form of a."""
+    shift = clear_denominators(a)
+    bound = _det_valuation_bound(a, shift)
+    prec = min(_PRECISION_START, bound + 1)
+    while True:
+        diag = _eliminate(a, shift, prec)
+        if len(diag) == a.rows:
+            return tuple(diag), shift
+        if prec > bound:
+            raise SingularMatrixError("matrix is singular over the fraction field")
+        prec = min(2 * prec, bound + 1)
+
+
+def _det_valuation_bound(a: Mat, shift: int) -> int:
+    """An upper bound on val(det(t**shift * a)) whenever det(a) != 0.
+
+    Row i times the product D_i of its distinct denominators is a
+    polynomial row, so det(a) = det(P) / prod D_i with P polynomial, and
+    val(det P) <= deg(det P) <= sum over rows of the largest degree in P.
+    """
+    total = a.rows * shift
+    for row in a.entries:
+        dens = {x.denominator for x in row if not x.is_zero()}
+        if not dens:
+            return 0  # a zero row: det(a) = 0, and any bound will do
+        dens_deg = sum(len(q) - 1 for q in dens)
+        top = max(len(x.numerator) - len(x.denominator) + dens_deg
+                  for x in row if not x.is_zero())
+        total += top - sum(_porder(q) for q in dens)
+    return total
+
+
+def _eliminate(a: Mat, shift: int, prec: int) -> list:
+    """Pivot orders of the Smith form of t**shift * a mod t**prec.
+
+    Stops early, with fewer than n orders, when the remaining submatrix
+    vanishes mod t**prec. Row i is dropped once column i below its pivot
+    t**v * unit is cleared: the column operations that would clear the
+    rest of row i touch no other entry.
+    """
+    n = a.rows
+    b = [[_series(x, shift, prec) for x in row] for row in a.entries]
+    diag = []
+    low = 0  # no entry of the remaining submatrix has a smaller order
+    for i in range(n):
+        found = _find_pivot(b, i, low, prec)
+        if found is None:
+            return diag
+        v, r, c = found
+        if r != i:
+            b[i], b[r] = b[r], b[i]
+        if c != i:
+            for row in b:
+                row[i], row[c] = row[c], row[i]
+        pivot_row = b[i]
+        unit = pivot_row[i][v:]
+        for row in b[i + 1:]:
+            y = row[i][v:]
+            if any(y):
+                f = _series_div(y, unit, prec - v)  # entry / pivot
+                for c2 in range(i + 1, n):
+                    _sub_product(row[c2], f, pivot_row[c2], v, prec)
+        diag.append(v)
+        low = v
+    return diag
+
+
+def _series(x: RatFunc, shift: int, prec: int) -> list:
+    """Coefficients of t**shift * x below t**prec; that product is regular."""
+    out = [0] * prec
+    if x.is_zero():
+        return out
+    p, q = x.numerator, x.denominator
+    i, j = _porder(p), _porder(q)
+    o = shift + i - j
+    if o < prec:
+        # denominators are monic, so q is t**j when it has a single term
+        if len(q) == j + 1:
+            coeffs = p[i:i + prec - o]
+        else:
+            coeffs = _series_div(p[i:], q[j:], prec - o)
+        out[o:o + len(coeffs)] = coeffs
+    return out
+
+
+def _find_pivot(b: list, i: int, low: int, prec: int):
+    """(order, row, column) of the first entry of minimal order below t**prec
+    in the submatrix from (i, i); None when it vanishes mod t**prec."""
+    best = None
+    for r in range(i, len(b)):
+        row = b[r]
+        for c in range(i, len(b)):
+            v = _order(row[c], low)
+            if v == low:
+                return v, r, c
+            if v < prec and (best is None or v < best[0]):
+                best = (v, r, c)
+    return best
+
+
+def _sub_product(dst: list, f: list, src: list, start: int, prec: int) -> None:
+    """dst -= f * src mod t**prec, in place; src vanishes below ``start``."""
+    for j in range(start, prec):
+        sj = src[j]
+        if sj:
+            for k, fk in enumerate(f[:prec - j]):
+                if fk:
+                    dst[j + k] -= fk * sj
 
 
 @dataclass(frozen=True)
@@ -218,12 +372,13 @@ class SnfResult:
     Both transforms are invertible over the local ring (regular entries,
     determinant of valuation 0) and the i-th diagonal entry of the
     product has valuation ``diag_valuations[i]``; the valuations are
-    non-decreasing.
+    non-decreasing. ``left`` and ``right`` are None when the transforms
+    were not asked for.
     """
 
-    left: Mat
+    left: Mat | None
     diag_valuations: tuple
-    right: Mat
+    right: Mat | None
     shift: int
 
     def to_json_dict(self) -> dict:
@@ -235,7 +390,7 @@ class SnfResult:
         }
 
 
-def smith_normal_form(a: Mat) -> SnfResult:
+def smith_normal_form(a: Mat, transforms: bool = True) -> SnfResult:
     """Diagonalize over the local ring, after clearing denominators.
 
     Pivots on an entry of minimal valuation in the remaining submatrix
@@ -244,9 +399,16 @@ def smith_normal_form(a: Mat) -> SnfResult:
     over the local ring by construction. Because the pivot has minimal
     valuation the cleared submatrix never drops below it, which makes
     the diagonal valuations come out sorted.
+
+    With ``transforms=False`` only ``shift`` and ``diag_valuations`` are
+    computed, by the truncated elimination described in the module
+    docstring, and ``left`` and ``right`` are None.
     """
     if a.rows != a.cols:
         raise NonSquareMatrixError("smith normal form needs a square matrix")
+    if not transforms:
+        diag, ell = _truncated_valuations(a)
+        return SnfResult(None, diag, None, ell)
     n = a.rows
     ell = clear_denominators(a)
     shift = t_power(ell)
@@ -259,7 +421,7 @@ def smith_normal_form(a: Mat) -> SnfResult:
         for r in range(i, n):
             for c in range(i, n):
                 v = b[r][c].val()
-                if v is INFINITE or v == INFINITE:
+                if v == INFINITE:
                     continue
                 if best is None or v < best[0]:
                     best = (v, r, c)

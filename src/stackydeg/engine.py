@@ -39,14 +39,8 @@ from .curve import (
     is_torsion_on_component,
     validate_twisted_map,
 )
-from .dvrlinalg import (
-    Mat,
-    SingularMatrixError,
-    smith_normal_form,
-    valuation_of_det,
-)
-from .errors import SchemaError
-from .field import INFINITE, t_power
+from .dvrlinalg import Mat, SingularMatrixError, smith_normal_form
+from .errors import SchemaError, is_int
 
 __all__ = [
     "DegenerationInput",
@@ -108,12 +102,10 @@ class DegenerationInput:
             if g.rows != n or g.cols != n:
                 raise EngineError(
                     f"gluing at {nid!r} is {g.rows}x{g.cols}, expected {n}x{n}")
-            if valuation_of_det(g) == INFINITE:
-                raise SingularMatrixError(f"gluing at node {nid!r} is singular")
         for nid, k in self.extra_mu.items():
             if not self.curve.has_node(nid):
                 raise EngineError(f"extra_mu refers to unknown node {nid!r}")
-            if not isinstance(k, int) or k < 1:
+            if not is_int(k) or k < 1:
                 raise EngineError(f"extra_mu at {nid!r} must be a positive integer")
 
     def to_json_dict(self) -> dict:
@@ -196,7 +188,7 @@ def degeneration_input_from_json(obj, max_degree: int | None = None) -> Degenera
         p = f"/extra_mu/{nid}"
         if nid not in node_ids:
             raise SchemaError(p, "unknown node id")
-        if not isinstance(k, int) or k < 1:
+        if not is_int(k) or k < 1:
             raise SchemaError(p, "expected a positive integer")
         extra_mu[nid] = k
     return DegenerationInput(curve, md, grading, gluing, extra_mu)
@@ -216,7 +208,7 @@ def compute_blowup_parameters(g: Mat, grading: GradingSpec) -> list:
     if grading.n_factors != g.rows:
         raise EngineError(
             f"grading has {grading.n_factors} factors for a {g.rows}x{g.cols} gluing")
-    snf = smith_normal_form(g)
+    snf = smith_normal_form(g, transforms=False)
     return list(zip(snf.diag_valuations, grading.d))
 
 
@@ -267,11 +259,16 @@ def _totals_json(md: MultiDegree, curve: TwistedCurve) -> list:
     return [str(x) for x in md.totals(curve)]
 
 
-def _normalize_pass(curve, md, gluing, extra_mu, log):
-    """Rewrite gluing matrices on destabilizing components (single factor)."""
+def _normalize_pass(curve, md, invariants, extra_mu, log):
+    """Shift gluing exponents on destabilizing components (single factor).
+
+    ``invariants`` maps each persistent node to the unshifted invariant
+    valuations of its gluing; rescaling a gluing by t**c adds c to each
+    of them, and val(det) is their sum.
+    """
     if md.n_factors != 1:
-        return gluing
-    gluing = dict(gluing)
+        return invariants
+    invariants = dict(invariants)
     for comp in curve.components:
         if comp.genus != 0 or curve.markings_on(comp.id):
             continue
@@ -279,23 +276,21 @@ def _normalize_pass(curve, md, gluing, extra_mu, log):
         if len(incident) != 2 or curve.branch_count(comp.id) != 2:
             continue
         n1, n2 = sorted(incident, key=lambda n: n.id)
-        if n1.id not in gluing or n2.id not in gluing:
+        if n1.id not in invariants or n2.id not in invariants:
             continue
         signs = []
         vals = []
         for n in (n1, n2):
-            v = valuation_of_det(gluing[n.id])
-            if v == INFINITE:
-                raise SingularMatrixError(f"gluing at node {n.id!r} is singular")
             s = 1 if n.ends[1] == comp.id else -1
             signs.append(s)
-            vals.append(s * v)
+            vals.append(s * sum(invariants[n.id]))
         k = _effective_mu(n1, extra_mu) or 1
         m1p, m2p = _normalized_valuations(vals[0], vals[1], k)
         if (m1p, m2p) == (vals[0], vals[1]):
             continue
-        gluing[n1.id] = gluing[n1.id].scale(t_power(signs[0] * (m1p - vals[0])))
-        gluing[n2.id] = gluing[n2.id].scale(t_power(signs[1] * (m2p - vals[1])))
+        for n, s, before, after in zip((n1, n2), signs, vals, (m1p, m2p)):
+            c = s * (after - before)
+            invariants[n.id] = tuple(b + c for b in invariants[n.id])
         log.append({
             "type": "normalize",
             "component": comp.id,
@@ -305,7 +300,7 @@ def _normalize_pass(curve, md, gluing, extra_mu, log):
             "after": [m1p, m2p],
             "totals": _totals_json(md, curve),
         })
-    return gluing
+    return invariants
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +462,16 @@ def degenerate(inp: DegenerationInput) -> DegenerationOutput:
     log accumulated up to the failure).
     """
     inp.validate()
+    # one valuation-only elimination per gluing: the unshifted invariant
+    # valuations of g decide everything below
+    invariants = {}
+    for node_id in sorted(inp.gluing):
+        try:
+            snf = smith_normal_form(inp.gluing[node_id], transforms=False)
+        except SingularMatrixError:
+            raise SingularMatrixError(
+                f"gluing at node {node_id!r} is singular") from None
+        invariants[node_id] = tuple(m - snf.shift for m in snf.diag_valuations)
     curve, md = inp.curve, inp.multidegree
     input_violations = validate_twisted_map(curve, md)
     input_violations += md.denominator_violations(curve)
@@ -477,29 +482,30 @@ def degenerate(inp: DegenerationInput) -> DegenerationOutput:
     genus_before = arithmetic_genus(curve)
     totals_before = md.totals(curve)
     log: list = []
-    gluing = _normalize_pass(curve, md, inp.gluing, inp.extra_mu, log)
+    invariants = _normalize_pass(curve, md, invariants, inp.extra_mu, log)
     d_eff = inp.grading.d
     d_src = inp.grading.d_sources()
-    for node_id in sorted(gluing):
+    for node_id in sorted(invariants):
         node = curve.node(node_id)
-        g = gluing[node_id]
-        vd = valuation_of_det(g)
-        if vd == INFINITE:
-            raise SingularMatrixError(f"gluing at node {node_id!r} is singular")
-        swapped = vd < 0
+        b = invariants[node_id]
+        # g^-1 has the negated invariants; the smallest invariant is the
+        # smallest entry valuation, so it fixes the denominator shift
+        swapped = sum(b) < 0
         if swapped:
-            g = g.inverse()
+            b = [-x for x in b]
             node = Node(node.id, (node.ends[1], node.ends[0]),
                         node.stab_order, node.persistent, node.singularity)
             curve = curve.replace_node(node_id, node)
-        snf = smith_normal_form(g)
-        params = list(zip(snf.diag_valuations, d_eff))
+        b = sorted(b)
+        shift = max(0, -b[0])
+        diag = [x + shift for x in b]
+        params = list(zip(diag, d_eff))
         log.append({
             "type": "snf",
             "node": node_id,
             "oriented": "swapped" if swapped else "kept",
-            "shift": snf.shift,
-            "diag_valuations": list(snf.diag_valuations),
+            "shift": shift,
+            "diag_valuations": diag,
             "d": list(d_eff),
             "d_source": list(d_src),
             "totals": _totals_json(md, curve),

@@ -13,3 +13,8 @@ class SchemaError(ValueError):
     def __init__(self, pointer: str, message: str):
         self.pointer = pointer or "/"
         super().__init__(f"{self.pointer}: {message}")
+
+
+def is_int(value) -> bool:
+    """True for a JSON integer; a bool is an int to Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -126,9 +126,13 @@ def _porder(a: tuple) -> int:
     return next(i for i, c in enumerate(a) if c)
 
 
+_ONE = (Fraction(1),)
+
+
 def _as_poly(value) -> tuple:
     if isinstance(value, (tuple, list)):
-        return _trim(tuple(Fraction(c) for c in value))
+        return _trim(tuple(c if type(c) is Fraction else Fraction(c)
+                           for c in value))
     if isinstance(value, (int, Fraction)):
         c = Fraction(value)
         return (c,) if c else ()
@@ -142,22 +146,23 @@ class RatFunc:
 
     def __init__(self, num=0, den=1):
         n = num._num if isinstance(num, RatFunc) else _as_poly(num)
-        d = _as_poly(den)
+        d = _ONE if den == 1 else _as_poly(den)
         if isinstance(num, RatFunc):
             n, d = n, _pmul(num._den, d)
         if not d:
             raise ZeroDivisionError("rational function with zero denominator")
         if not n:
-            self._num, self._den = (), (Fraction(1),)
+            self._num, self._den = (), _ONE
             return
-        g = _pgcd(n, d)
-        if len(g) > 1:
-            n = _pdivmod(n, g)[0]
-            d = _pdivmod(d, g)[0]
-        lead = d[-1]
-        if lead != 1:
-            n = tuple(c / lead for c in n)
-            d = tuple(c / lead for c in d)
+        if d != _ONE:  # a polynomial is already canonical
+            g = _pgcd(n, d)
+            if len(g) > 1:
+                n = _pdivmod(n, g)[0]
+                d = _pdivmod(d, g)[0]
+            lead = d[-1]
+            if lead != 1:
+                n = tuple(c / lead for c in n)
+                d = tuple(c / lead for c in d)
         self._num, self._den = n, d
 
     # -- constructors ------------------------------------------------------
@@ -216,6 +221,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self._den == _ONE and o._den == _ONE:
+            return RatFunc(_padd(self._num, o._num))
         num = _padd(_pmul(self._num, o._den), _pmul(o._num, self._den))
         return RatFunc(num, _pmul(self._den, o._den))
 
@@ -331,7 +338,7 @@ def _format_poly(p: tuple) -> str:
 
 def format_ratfunc(f: RatFunc) -> str:
     num = _format_poly(f.numerator)
-    if f.denominator == (Fraction(1),):
+    if f.denominator == _ONE:
         return num
     return f"{num}/{_format_poly(f.denominator)}"
 
@@ -390,7 +397,7 @@ def parse_ratfunc(text: str, max_degree: int | None = None) -> RatFunc:
         i = splits[0]
         num, den = _parse_poly(s[:i], max_degree), _parse_poly(s[i + 1:], max_degree)
     else:
-        num, den = _parse_poly(s, max_degree), (Fraction(1),)
+        num, den = _parse_poly(s, max_degree), _ONE
     if not den:
         raise ParseError("zero denominator")
     return RatFunc(num, den)

@@ -68,6 +68,80 @@ def test_schema_pointer_reported(tmp_path, capsys):
     assert "/nodes/0/stab" in capsys.readouterr().err
 
 
+def _degen_error(tmp_path, capsys, doc):
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(doc))
+    code = run_cli("degen", str(src))
+    return code, capsys.readouterr().err
+
+
+def test_bool_genus_rejected_with_pointer(tmp_path, capsys):
+    doc = builtin_scenario("two-genus2-bridge")
+    doc["components"][0]["genus"] = True
+    code, err = _degen_error(tmp_path, capsys, doc)
+    assert code == 2
+    assert "/components/0/genus" in err
+
+
+def test_float_degree_rejected_with_pointer(tmp_path, capsys):
+    doc = builtin_scenario("theta-example-1")
+    doc["multidegree"]["deg"] = [{"C": 0.1}]
+    code, err = _degen_error(tmp_path, capsys, doc)
+    assert code == 2
+    assert "/multidegree/deg/0/C" in err
+
+
+def test_empty_weight_row_rejected_with_pointer(tmp_path, capsys):
+    doc = builtin_scenario("theta-example-1")
+    doc["grading"] = {"weights": [[]]}
+    code, err = _degen_error(tmp_path, capsys, doc)
+    assert code == 2
+    assert "/grading/weights/0" in err
+
+
+def _set_true(doc, path):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = True
+
+
+@pytest.mark.parametrize("scenario, path, pointer", [
+    ("theta-example-2", ("nodes", 0, "stab"), "/nodes/0/stab"),
+    ("theta-example-1", ("markings", 0, "gerbe"), "/markings/0/gerbe"),
+    ("theta-example-1", ("multidegree", "factors"), "/multidegree/factors"),
+    ("theta-example-1", ("multidegree", "deg", 0, "C"), "/multidegree/deg/0/C"),
+    ("theta-example-2", ("gluing", "n1", "rows"), "/gluing/n1/rows"),
+    ("theta-example-2", ("gluing", "n1", "cols"), "/gluing/n1/cols"),
+    ("theta-example-2", ("grading", "d", 0), "/grading/d"),
+    ("theta-example-2", ("extra_mu", "n1"), "/extra_mu/n1"),
+])
+def test_bool_for_int_rejected_with_pointer(tmp_path, capsys, scenario, path, pointer):
+    doc = builtin_scenario(scenario)
+    _set_true(doc, path)
+    code, err = _degen_error(tmp_path, capsys, doc)
+    assert code == 2
+    assert pointer in err
+
+
+def test_bool_weight_rejected_with_pointer(tmp_path, capsys):
+    doc = builtin_scenario("theta-example-2")
+    doc["grading"] = {"weights": [[True, -2]]}
+    code, err = _degen_error(tmp_path, capsys, doc)
+    assert code == 2
+    assert "/grading/weights/0" in err
+
+
+@pytest.mark.parametrize("field", ["a", "mu"])
+def test_bool_sing_rejected_with_pointer(tmp_path, capsys, field):
+    doc = builtin_scenario("two-genus2-bridge")
+    doc["nodes"][0]["sing"] = {"a": 1, "mu": 1}
+    doc["nodes"][0]["sing"][field] = True
+    code, err = _degen_error(tmp_path, capsys, doc)
+    assert code == 2
+    assert "/nodes/0/sing" in err
+
+
 def test_degree_cap_env(tmp_path, capsys, monkeypatch):
     doc = builtin_scenario("two-genus2-bridge")
     doc["gluing"]["n2"] = {"rows": 1, "cols": 1, "entries": [["t^70"]]}

@@ -14,7 +14,7 @@ from stackydeg import (
     t_power,
     valuation_of_det,
 )
-from support import random_regular_matrix, random_unimodular
+from support import random_gluing, random_regular_matrix, random_unimodular
 
 rf = parse_ratfunc
 
@@ -152,3 +152,108 @@ def test_matrix_json_pointers():
     with pytest.raises(SchemaError) as exc:
         Mat.from_json_dict({"rows": 2, "cols": 1, "entries": [["t"]]})
     assert exc.value.pointer == "/entries"
+
+
+# -- valuation-only elimination (transforms=False) ------------------------------
+
+# 1/(t^2+t) and (t+1)/(2t^3-t) among them
+DENOMINATOR_ENTRIES = [rf("1") / rf("t^2+t"), rf("t+1") / rf("2t^3-t"), rf("3"),
+                       rf("t^2-1"), rf("1/t"), rf("2t+1") / rf("t+1"), rf("t^3"),
+                       rf("0")]
+
+
+def random_rational_matrix(rng, n):
+    """Entries with non-monomial denominators; nonzero determinant."""
+    while True:
+        a = Mat([[rng.choice(DENOMINATOR_ENTRIES) * rng.randint(1, 3)
+                  + rf(rng.choice(["0", "t", "1", "-t^2"]))
+                  for _ in range(n)] for _ in range(n)])
+        if not a.det().is_zero():
+            return a
+
+
+def differential_corpus():
+    rng = random.Random(20261017)
+    out = []
+    for n in range(1, 6):
+        # the full-transform oracle is slow at n = 4, 5
+        for _ in range(3 if n <= 3 else 1):
+            out.append(random_regular_matrix(rng, n, max_degree=2))
+            out.append(random_rational_matrix(rng, n))
+            out.append(random_gluing(rng, n))
+        # invariants far above the starting precision
+        big = Mat.diagonal([t_power(rng.choice([0, 2, 17, 40])) for _ in range(n)])
+        out.append(random_unimodular(rng, n) @ big @ random_unimodular(rng, n))
+    return out
+
+
+def test_truncated_snf_matches_full_transform_and_det():
+    for a in differential_corpus():
+        fast = smith_normal_form(a, transforms=False)
+        full = smith_normal_form(a)
+        assert fast.left is None and fast.right is None
+        assert (fast.shift, fast.diag_valuations) == (full.shift, full.diag_valuations)
+        v = a.det().val()
+        assert valuation_of_det(a) == v
+        assert sum(fast.diag_valuations) - a.rows * fast.shift == v
+
+
+def test_truncated_snf_reaches_high_invariants():
+    rng = random.Random(3)
+    for n in (2, 3, 4):
+        diag = Mat.diagonal([t_power(0)] * (n - 1) + [t_power(40)])
+        a = random_unimodular(rng, n) @ diag @ random_unimodular(rng, n)
+        r = smith_normal_form(a, transforms=False)
+        assert r.diag_valuations == (0,) * (n - 1) + (40,)
+        assert valuation_of_det(a) == 40
+
+
+def _sympy_orders(a):
+    """t-adic orders of the invariant factors of t**shift * a over Q[t]."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    t = sympy.symbols("t")
+
+    def poly(coeffs):
+        return sum(sympy.Rational(c.numerator, c.denominator) * t**k
+                   for k, c in enumerate(coeffs))
+
+    dens = {x.denominator for row in a.entries for x in row}
+    common = sympy.Integer(1)
+    for q in dens:
+        common *= poly(q)
+    m = sympy.Matrix(a.rows, a.cols, lambda i, j: sympy.cancel(
+        poly(a[i, j].numerator) * common / poly(a[i, j].denominator)))
+    shift = clear_denominators(a)
+    common_order = sum(_first_nonzero(q) for q in dens)
+    orders = []
+    for f in invariant_factors(m, domain=sympy.QQ[t]):
+        coeffs = sympy.Poly(f, t).all_coeffs()[::-1]
+        orders.append(_first_nonzero(coeffs) - common_order + shift)
+    return tuple(sorted(orders))
+
+
+def _first_nonzero(coeffs):
+    return next(k for k, c in enumerate(coeffs) if c)
+
+
+def test_truncated_snf_matches_sympy_invariant_factors():
+    pytest.importorskip("sympy")
+    corpus = [a for a in differential_corpus() if a.rows <= 4]
+    for a in corpus[::2]:
+        assert smith_normal_form(a, transforms=False).diag_valuations == _sympy_orders(a)
+
+
+@pytest.mark.parametrize("rows", [
+    [["0", "0"], ["0", "0"]],
+    [["0"]],
+    [["t+1", "2t+2"], ["3", "6"]],
+    [["1/t^2+t", "1/2t+1/2/t^3-1/2t"], ["2/t^2+t", "t+1/t^3-1/2t"]],
+    [["1", "t", "t^2"], ["t", "1+t", "3"], ["1+t", "1+2t", "t^2+3"]],
+])
+def test_truncated_snf_singular_rejected(rows):
+    a = mat(rows)
+    with pytest.raises(SingularMatrixError):
+        smith_normal_form(a, transforms=False)
+    assert valuation_of_det(a) == INFINITE

@@ -23,10 +23,11 @@ from stackydeg import (
     insert_exceptional_chain,
     normalize_destabilizing_gluing,
     parse_ratfunc,
+    smith_normal_form,
     validate_twisted_map,
 )
 from stackydeg.cli import builtin_scenario
-from support import graph_signature, random_engine_input
+from support import graph_signature, random_engine_input, random_gluing
 
 rf = parse_ratfunc
 
@@ -289,6 +290,29 @@ def test_degenerate_negative_valuation_swaps_branch():
     assert out.limit_multidegree.degree(0, "A") == 0
 
 
+def test_degenerate_snf_record_matches_full_transform_oracle():
+    # the engine never inverts: a swapped node's record must still be the
+    # one the full-transform form of g^-1 gives, and a kept one that of g
+    rng = random.Random(2718)
+    c = TwistedCurve([Component("A", 2), Component("B", 2)],
+                     [Node("n", ("A", "B"), persistent=True)])
+    seen = set()
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        g = random_gluing(rng, k)
+        swapped = g.det().val() < 0
+        seen.add(swapped)
+        out = degenerate(DegenerationInput(
+            curve=c, multidegree=MultiDegree(k, {}),
+            grading=GradingSpec(d=(1,) * k), gluing={"n": g}))
+        record = next(r for r in out.log if r["type"] == "snf")
+        oracle = smith_normal_form(g.inverse() if swapped else g)
+        assert record["oriented"] == ("swapped" if swapped else "kept")
+        assert record["shift"] == oracle.shift
+        assert record["diag_valuations"] == list(oracle.diag_valuations)
+    assert seen == {True, False}
+
+
 def test_degenerate_missing_gluing_rejected():
     c = TwistedCurve([Component("A", 2), Component("B", 2)],
                      [Node("n", ("A", "B"), persistent=True)])
@@ -308,7 +332,7 @@ def test_degenerate_singular_gluing_rejected():
         grading=GradingSpec(d=(1,)),
         gluing={"n": mat([["0"]])},
     )
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match="gluing at node 'n' is singular"):
         degenerate(inp)
 
 
