@@ -14,7 +14,6 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .blowup import (
     AnSing,
@@ -22,6 +21,7 @@ from .blowup import (
     an_blowup_step,
     mu_action_on_blowup,
     resolve_An,
+    theta_smoothing_order,
     twisted_blowup,
 )
 from .curve import TORSION_CRITERION_NOTE
@@ -104,12 +104,12 @@ def builtin_scenario(name: str, k: int = 2, d: int = 2, m: int = 1) -> dict:
     if name == "theta-example-3":
         # a destabilizing rational curve between two persistent twisted
         # nodes; the raw exponents (m+1, 1) exercise the normalization
-        kp = k // gcd(k, d - 1)
         return {
             "components": [{"id": "C", "genus": 2}, {"id": "P", "genus": 0}],
             "nodes": [
                 {"id": "n1", "ends": ["C", "P"], "stab": k, "persistent": True},
-                {"id": "n2", "ends": ["C", "P"], "stab": kp * d, "persistent": True},
+                {"id": "n2", "ends": ["C", "P"], "stab": theta_smoothing_order(k, d),
+                 "persistent": True},
             ],
             "markings": [],
             "multidegree": {

@@ -58,10 +58,6 @@ class Component:
     id: str
     genus: int
 
-    @property
-    def coarse_is_p1(self) -> bool:
-        return self.genus == 0
-
 
 @dataclass(frozen=True)
 class Node:
@@ -94,9 +90,15 @@ class Violation:
 
 
 class TwistedCurve:
-    """Immutable decorated dual graph. Safe to share between threads."""
+    """Immutable decorated dual graph. Safe to share between threads.
 
-    __slots__ = ("_components", "_nodes", "_markings", "_comp_ix", "_node_ix")
+    Each curve carries an incidence index: per component, its incident
+    nodes in node order, its branch count (a self-node counts twice) and
+    its markings, so the per-component queries are lookups.
+    """
+
+    __slots__ = ("_components", "_nodes", "_markings", "_comp_ix", "_node_ix",
+                 "_incidence")
 
     def __init__(self, components, nodes=(), markings=()):
         self._components = tuple(components)
@@ -105,22 +107,14 @@ class TwistedCurve:
         if not self._components:
             raise CurveError("a curve needs at least one component")
         self._comp_ix = {}
-        for c in self._components:
-            if c.id in self._comp_ix:
-                raise CurveError(f"duplicate component id {c.id!r}")
-            if c.genus < 0:
-                raise CurveError(f"component {c.id!r} has negative genus")
-            self._comp_ix[c.id] = c
         self._node_ix = {}
+        _add_components(self._comp_ix, self._components)
+        _add_nodes(self._comp_ix, self._node_ix, self._nodes)
+        on = {cid: [] for cid in self._comp_ix}
         for n in self._nodes:
-            if n.id in self._node_ix:
-                raise CurveError(f"duplicate node id {n.id!r}")
-            if n.stab_order < 1:
-                raise CurveError(f"node {n.id!r} has stabilizer order < 1")
-            for end in n.ends:
-                if end not in self._comp_ix:
-                    raise CurveError(f"node {n.id!r} ends on unknown component {end!r}")
-            self._node_ix[n.id] = n
+            for end in set(n.ends):
+                on[end].append(n)
+        marks_on = {cid: [] for cid in self._comp_ix}
         seen_marks = set()
         for m in self._markings:
             if m.id in seen_marks:
@@ -130,6 +124,57 @@ class TwistedCurve:
             if m.comp not in self._comp_ix:
                 raise CurveError(f"marking {m.id!r} sits on unknown component {m.comp!r}")
             seen_marks.add(m.id)
+            marks_on[m.comp].append(m)
+        self._incidence = {
+            cid: (tuple(on[cid]), sum(n.ends.count(cid) for n in on[cid]),
+                  tuple(marks_on[cid]))
+            for cid in self._comp_ix
+        }
+
+    def _edit(self, drop_components=(), drop_nodes=(), components=(),
+              nodes=()) -> "TwistedCurve":
+        """A copy with some components and nodes dropped and others appended.
+
+        Appended items go last, in the order given. The parent's indexes
+        are copied and only what changed is checked, against every
+        invariant the constructor enforces.
+        """
+        comp_ix = dict(self._comp_ix)
+        node_ix = dict(self._node_ix)
+        incidence = dict(self._incidence)
+        for nid in drop_nodes:
+            node = node_ix.pop(nid, None)
+            if node is None:
+                raise CurveError(f"no node {nid!r}")
+            for end in set(node.ends):
+                inc, branches, marks = incidence[end]
+                incidence[end] = (tuple(n for n in inc if n.id != nid),
+                                  branches - node.ends.count(end), marks)
+        for cid in drop_components:
+            if comp_ix.pop(cid, None) is None:
+                raise CurveError(f"no component {cid!r}")
+            inc, _, marks = incidence.pop(cid)
+            if inc or marks:
+                raise CurveError(f"dropped component {cid!r} still carries "
+                                 f"a node or a marking")
+        if not comp_ix:
+            raise CurveError("a curve needs at least one component")
+        _add_components(comp_ix, components)
+        _add_nodes(comp_ix, node_ix, nodes)
+        for c in components:
+            incidence[c.id] = _NO_INCIDENCE
+        for n in nodes:
+            for end in set(n.ends):
+                inc, branches, marks = incidence[end]
+                incidence[end] = (inc + (n,), branches + n.ends.count(end), marks)
+        out = TwistedCurve.__new__(TwistedCurve)
+        out._components = tuple(comp_ix.values())
+        out._nodes = tuple(node_ix.values())
+        out._markings = self._markings
+        out._comp_ix = comp_ix
+        out._node_ix = node_ix
+        out._incidence = incidence
+        return out
 
     @property
     def components(self) -> tuple:
@@ -155,18 +200,21 @@ class TwistedCurve:
         except KeyError:
             raise CurveError(f"no node {node_id!r}") from None
 
+    def has_component(self, comp_id: str) -> bool:
+        return comp_id in self._comp_ix
+
     def has_node(self, node_id: str) -> bool:
         return node_id in self._node_ix
 
     def nodes_on(self, comp_id: str) -> tuple:
-        return tuple(n for n in self._nodes if comp_id in n.ends)
+        return self._incidence.get(comp_id, _NO_INCIDENCE)[0]
 
     def branch_count(self, comp_id: str) -> int:
         # a self-node contributes two branches
-        return sum(n.ends.count(comp_id) for n in self._nodes)
+        return self._incidence.get(comp_id, _NO_INCIDENCE)[1]
 
     def markings_on(self, comp_id: str) -> tuple:
-        return tuple(m for m in self._markings if m.comp == comp_id)
+        return self._incidence.get(comp_id, _NO_INCIDENCE)[2]
 
     def is_connected(self) -> bool:
         ids = set(self._comp_ix)
@@ -186,17 +234,6 @@ class TwistedCurve:
 
     def first_betti(self) -> int:
         return len(self._nodes) - len(self._components) + 1
-
-    def with_changes(self, components=None, nodes=None, markings=None) -> "TwistedCurve":
-        return TwistedCurve(
-            self._components if components is None else components,
-            self._nodes if nodes is None else nodes,
-            self._markings if markings is None else markings,
-        )
-
-    def replace_node(self, node_id: str, new_node: Node) -> "TwistedCurve":
-        nodes = tuple(new_node if n.id == node_id else n for n in self._nodes)
-        return self.with_changes(nodes=nodes)
 
     def __eq__(self, other):
         if not isinstance(other, TwistedCurve):
@@ -320,6 +357,30 @@ class TwistedCurve:
         return "\n".join(lines) + "\n"
 
 
+_NO_INCIDENCE = ((), 0, ())
+
+
+def _add_components(comp_ix: dict, components) -> None:
+    for c in components:
+        if c.id in comp_ix:
+            raise CurveError(f"duplicate component id {c.id!r}")
+        if c.genus < 0:
+            raise CurveError(f"component {c.id!r} has negative genus")
+        comp_ix[c.id] = c
+
+
+def _add_nodes(comp_ix: dict, node_ix: dict, nodes) -> None:
+    for n in nodes:
+        if n.id in node_ix:
+            raise CurveError(f"duplicate node id {n.id!r}")
+        if n.stab_order < 1:
+            raise CurveError(f"node {n.id!r} has stabilizer order < 1")
+        for end in n.ends:
+            if end not in comp_ix:
+                raise CurveError(f"node {n.id!r} ends on unknown component {end!r}")
+        node_ix[n.id] = n
+
+
 def _expect_list(obj: dict, key: str, pointer: str) -> list:
     value = obj.get(key)
     if not isinstance(value, list):
@@ -342,46 +403,66 @@ class MultiDegree:
     """Per torus factor, an exact degree for each component.
 
     Missing entries read as zero; only nonzero entries are stored, so
-    equality is equality of the underlying degree data.
+    equality is equality of the underlying degree data. Per-factor sums
+    of the stored entries are kept as running totals, which
+    :meth:`adjusted` and :meth:`without_component` update in O(1).
     """
 
-    __slots__ = ("n_factors", "_deg")
+    __slots__ = ("n_factors", "_deg", "_sums")
 
     def __init__(self, n_factors: int, deg=None):
         if n_factors < 1:
             raise CurveError("a multidegree needs at least one factor")
         self.n_factors = n_factors
         self._deg = {}
+        sums = [Fraction(0)] * n_factors
         for (k, comp), value in (deg or {}).items():
             if not 0 <= k < n_factors:
                 raise CurveError(f"factor index {k} out of range")
             value = Fraction(value)
             if value:
                 self._deg[(k, str(comp))] = value
+                sums[k] += value
+        self._sums = tuple(sums)
+
+    def _derive(self, deg: dict, sums: tuple) -> "MultiDegree":
+        # entries and sums were checked by the constructor of an ancestor
+        out = MultiDegree.__new__(MultiDegree)
+        out.n_factors = self.n_factors
+        out._deg = deg
+        out._sums = sums
+        return out
 
     def degree(self, k: int, comp: str) -> Fraction:
         return self._deg.get((k, comp), Fraction(0))
 
+    def support(self) -> set:
+        """Ids of the components with a nonzero degree in some factor."""
+        return {comp for _, comp in self._deg}
+
+    def running_totals(self) -> tuple:
+        """Per-factor sums of all stored degrees."""
+        return self._sums
+
     def adjusted(self, k: int, comp: str, delta) -> "MultiDegree":
+        if not 0 <= k < self.n_factors:
+            raise CurveError(f"factor index {k} out of range")
+        delta = Fraction(delta)
         new = dict(self._deg)
-        value = self.degree(k, comp) + Fraction(delta)
+        value = self.degree(k, comp) + delta
         if value:
             new[(k, comp)] = value
         else:
             new.pop((k, comp), None)
-        return MultiDegree(self.n_factors, new)
-
-    def with_entry(self, k: int, comp: str, value) -> "MultiDegree":
-        new = dict(self._deg)
-        new.pop((k, comp), None)
-        value = Fraction(value)
-        if value:
-            new[(k, comp)] = value
-        return MultiDegree(self.n_factors, new)
+        sums = self._sums[:k] + (self._sums[k] + delta,) + self._sums[k + 1:]
+        return self._derive(new, sums)
 
     def without_component(self, comp: str) -> "MultiDegree":
-        new = {key: v for key, v in self._deg.items() if key[1] != comp}
-        return MultiDegree(self.n_factors, new)
+        new = dict(self._deg)
+        sums = list(self._sums)
+        for k in range(self.n_factors):
+            sums[k] -= new.pop((k, comp), 0)
+        return self._derive(new, tuple(sums))
 
     def totals(self, curve: TwistedCurve) -> list:
         return [

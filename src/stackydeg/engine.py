@@ -19,6 +19,13 @@ produces the limit curve in four passes:
 Every pass appends tagged records to an ordered step log; the pipeline
 is a pure function of its input, so independent runs can execute
 concurrently.
+
+Each pass costs time in proportion to what it edits, not to the size of
+the graph: curves keep a per-component incidence index, every insertion
+and contraction derives the next curve from its parent and checks only
+what changed, and contraction is a single forward scan. The ``totals``
+in the log records are running per-factor totals; the final check
+compares them and the input totals with a full sum over the limit.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .blowup import AnSing, ContractionError, contract_singularity
+from .blowup import AnSing, ContractionError, contract_singularity, theta_smoothing_order
 from .curve import (
     TORSION_CRITERION_NOTE,
     Component,
@@ -89,6 +96,11 @@ class DegenerationInput:
             raise EngineError(
                 f"grading has {self.grading.n_factors} factors, "
                 f"multidegree has {n}")
+        unknown = sorted(c for c in self.multidegree.support()
+                         if not self.curve.has_component(c))
+        if unknown:
+            raise EngineError(
+                f"multidegree has a degree on unknown component {unknown[0]!r}")
         persistent = {nd.id for nd in self.curve.nodes if nd.persistent}
         missing = sorted(persistent - set(self.gluing))
         if missing:
@@ -247,16 +259,25 @@ def _effective_mu(node: Node, extra_mu: dict):
     return None
 
 
-def _fresh(existing: set, base: str) -> str:
+def _fresh(taken, base: str) -> str:
+    """``base`` with primes appended until ``taken`` rejects it."""
     out = base
-    while out in existing:
+    while taken(out):
         out += "'"
-    existing.add(out)
     return out
 
 
-def _totals_json(md: MultiDegree, curve: TwistedCurve) -> list:
-    return [str(x) for x in md.totals(curve)]
+def _totals_json(md: MultiDegree) -> list:
+    return [str(x) for x in md.running_totals()]
+
+
+def _chain_link(curve: TwistedCurve, comp) -> list | None:
+    """The two nodes of an unmarked rational component with two branches
+    on distinct nodes, none of them a self-node; None otherwise."""
+    if comp.genus != 0 or curve.markings_on(comp.id) or curve.branch_count(comp.id) != 2:
+        return None
+    incident = [n for n in curve.nodes_on(comp.id) if not n.is_self_node]
+    return incident if len(incident) == 2 else None
 
 
 def _normalize_pass(curve, md, invariants, extra_mu, log):
@@ -270,10 +291,8 @@ def _normalize_pass(curve, md, invariants, extra_mu, log):
         return invariants
     invariants = dict(invariants)
     for comp in curve.components:
-        if comp.genus != 0 or curve.markings_on(comp.id):
-            continue
-        incident = [n for n in curve.nodes_on(comp.id) if not n.is_self_node]
-        if len(incident) != 2 or curve.branch_count(comp.id) != 2:
+        incident = _chain_link(curve, comp)
+        if incident is None:
             continue
         n1, n2 = sorted(incident, key=lambda n: n.id)
         if n1.id not in invariants or n2.id not in invariants:
@@ -298,7 +317,7 @@ def _normalize_pass(curve, md, invariants, extra_mu, log):
             "step": k,
             "before": [vals[0], vals[1]],
             "after": [m1p, m2p],
-            "totals": _totals_json(md, curve),
+            "totals": _totals_json(md),
         })
     return invariants
 
@@ -333,8 +352,6 @@ def insert_exceptional_chain(curve: TwistedCurve, md: MultiDegree, node_id: str,
             raise EngineError(f"factor {ix + 1}: invalid parameters (m={m}, d={d})")
     if not active:
         return curve, md, None
-    comp_ids = {c.id for c in curve.components}
-    node_ids = {n.id for n in curve.nodes} - {node_id}
     un_blown, blown = node.ends
     mu = extra_mu
     new_comps = []
@@ -342,17 +359,16 @@ def insert_exceptional_chain(curve: TwistedCurve, md: MultiDegree, node_id: str,
     inserted = []
     prev = blown
     for ix, m, d in active:
-        e_id = _fresh(comp_ids, f"{node_id}:E{ix + 1}")
-        q_id = _fresh(node_ids, f"{node_id}:q{ix + 1}")
+        e_id = _fresh(curve.has_component, f"{node_id}:E{ix + 1}")
+        q_id = _fresh(curve.has_node, f"{node_id}:q{ix + 1}")
         if mu is None:
             q_order = d
             degree = Fraction(1, d)
             sing = AnSing(m, d)
         else:
-            shared = gcd(mu, d - 1)
-            q_order = (mu // shared) * d
+            q_order = theta_smoothing_order(mu, d)
             degree = Fraction(1, d * mu)
-            sing = AnSing(m * shared, q_order)
+            sing = AnSing(m * gcd(mu, d - 1), q_order)
         new_comps.append(Component(e_id, 0))
         new_nodes.append(Node(q_id, (e_id, prev), q_order, False, sing))
         md = md.adjusted(ix, e_id, degree).adjusted(ix, prev, -degree)
@@ -368,16 +384,14 @@ def insert_exceptional_chain(curve: TwistedCurve, md: MultiDegree, node_id: str,
                                "sing": sing.to_json_dict()},
         })
         prev = e_id
-    s_id = _fresh(node_ids, f"{node_id}:S")
+    s_id = _fresh(curve.has_node, f"{node_id}:S")
     new_nodes.append(Node(s_id, (un_blown, prev), node.stab_order, True, None))
-    nodes = tuple(n for n in curve.nodes if n.id != node_id) + tuple(new_nodes)
-    comps = curve.components + tuple(new_comps)
-    curve = curve.with_changes(components=comps, nodes=nodes)
+    curve = curve._edit(drop_nodes=(node_id,), components=new_comps, nodes=new_nodes)
     info = {
         "node": node_id,
         "inserted": inserted,
         "persistent_node": {"id": s_id, "stab": node.stab_order},
-        "totals": _totals_json(md, curve),
+        "totals": _totals_json(md),
     }
     return curve, md, info
 
@@ -389,29 +403,20 @@ def insert_exceptional_chain(curve: TwistedCurve, md: MultiDegree, node_id: str,
 def contract_torsion_components(curve: TwistedCurve, md: MultiDegree):
     """Contract rational two-noded components of total degree zero.
 
-    Repeatedly removes the first such component (in component order),
-    merging its two nodes, which must carry equal stacky orders, into a
-    single node whose singularity record combines the two incident
-    records; missing records default to the transverse germ. Iterates to
-    a fixed point. Degrees and genus are conserved.
+    Removes each such component in component order, merging its two
+    nodes, which must carry equal stacky orders, into a single node
+    whose singularity record combines the two incident records; missing
+    records default to the transverse germ. One forward scan reaches the
+    fixed point: a merge leaves every other component's genus, markings,
+    degrees and branch count alone, and only changes incidence when both
+    far ends are one component, which then has a self-node and stops
+    qualifying. Degrees and genus are conserved.
     """
     records = []
-    node_ids = {n.id for n in curve.nodes}
-    while True:
-        found = None
-        for c in curve.components:
-            if c.genus != 0 or curve.markings_on(c.id):
-                continue
-            incident = [n for n in curve.nodes_on(c.id) if not n.is_self_node]
-            if len(incident) != 2 or curve.branch_count(c.id) != 2:
-                continue
-            if not is_torsion_on_component(md, c.id):
-                continue
-            found = (c, incident)
-            break
-        if found is None:
-            return curve, md, records
-        comp, incident = found
+    for comp in curve.components:
+        incident = _chain_link(curve, comp)
+        if incident is None or not is_torsion_on_component(md, comp.id):
+            continue
         u, v = sorted(incident, key=lambda n: n.id)
         if u.stab_order != v.stab_order:
             raise TorsionContractionError(
@@ -427,14 +432,10 @@ def contract_torsion_components(curve: TwistedCurve, md: MultiDegree):
                 f"torsion component {comp.id!r}: {exc}") from exc
         other_u = u.ends[0] if u.ends[1] == comp.id else u.ends[1]
         other_v = v.ends[0] if v.ends[1] == comp.id else v.ends[1]
-        w_id = _fresh(node_ids, f"{u.id}+{v.id}")
-        node_ids.discard(u.id)
-        node_ids.discard(v.id)
+        w_id = _fresh(curve.has_node, f"{u.id}+{v.id}")
         w = Node(w_id, (other_u, other_v), k, False, merged)
-        curve = curve.with_changes(
-            components=tuple(x for x in curve.components if x.id != comp.id),
-            nodes=tuple(n for n in curve.nodes if n.id not in (u.id, v.id)) + (w,),
-        )
+        curve = curve._edit(drop_components=(comp.id,), drop_nodes=(u.id, v.id),
+                            nodes=(w,))
         md = md.without_component(comp.id)
         records.append({
             "type": "contract",
@@ -445,8 +446,9 @@ def contract_torsion_components(curve: TwistedCurve, md: MultiDegree):
             ],
             "merged_node": {"id": w_id, "stab": k, "ends": [other_u, other_v],
                             "sing": merged.to_json_dict()},
-            "totals": _totals_json(md, curve),
+            "totals": _totals_json(md),
         })
+    return curve, md, records
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +497,9 @@ def degenerate(inp: DegenerationInput) -> DegenerationOutput:
             b = [-x for x in b]
             node = Node(node.id, (node.ends[1], node.ends[0]),
                         node.stab_order, node.persistent, node.singularity)
-            curve = curve.replace_node(node_id, node)
+            # the swapped node moves to the end of the node order, which
+            # never shows: sum(b) > 0 now, so the insertion below replaces it
+            curve = curve._edit(drop_nodes=(node_id,), nodes=(node,))
         b = sorted(b)
         shift = max(0, -b[0])
         diag = [x + shift for x in b]
@@ -508,7 +512,7 @@ def degenerate(inp: DegenerationInput) -> DegenerationOutput:
             "diag_valuations": diag,
             "d": list(d_eff),
             "d_source": list(d_src),
-            "totals": _totals_json(md, curve),
+            "totals": _totals_json(md),
         })
         mu = _effective_mu(node, inp.extra_mu)
         curve, md, info = insert_exceptional_chain(curve, md, node_id, params, mu)
@@ -518,7 +522,9 @@ def degenerate(inp: DegenerationInput) -> DegenerationOutput:
     log.extend(contractions)
     if arithmetic_genus(curve) != genus_before:
         raise EngineError("internal invariant breach: genus not conserved")
-    if md.totals(curve) != totals_before:
+    # the running totals fed every log record; check them against a full sum
+    totals_after = md.totals(curve)
+    if totals_after != totals_before or tuple(totals_after) != md.running_totals():
         raise EngineError("internal invariant breach: degree totals not conserved")
     if md.denominator_violations(curve):
         raise EngineError(

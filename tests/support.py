@@ -187,3 +187,65 @@ def graph_signature(curve):
         (tuple(sorted(n.ends)), n.stab_order) for n in curve.nodes))
     marks = tuple(sorted((m.comp, m.gerbe_order) for m in curve.markings))
     return comps, nodes, marks
+
+
+def random_big_graph_input(rng: random.Random) -> dict:
+    """A single-factor pipeline input with a large dual graph.
+
+    A random tree of 60-100 genus-2 bodies plus 5-10 extra edges (about
+    70% of all edges persistent, glued by t^m with m in [-3, 5]), 6-10
+    persistent order-2 self-nodes, and 6-10 rational curves shaped like
+    the built-in theta-example-3, which become torsion and contract for
+    suitable exponents.
+    """
+    def t_power(m):
+        return _matrix_doc(Mat([[RatFunc.t_power(m)]]))
+
+    n_bodies = rng.randint(60, 100)
+    bodies = [f"b{i}" for i in range(n_bodies)]
+    edges = [(bodies[rng.randrange(i)], bodies[i]) for i in range(1, n_bodies)]
+    edges += [(rng.choice(bodies), rng.choice(bodies))
+              for _ in range(rng.randint(5, 10))]
+    d = rng.randint(1, 3)
+    components = [{"id": b, "genus": 2} for b in bodies]
+    degree = {b: Fraction(rng.randint(-3, 3)) for b in bodies}
+    nodes, gluing, extra_mu = [], {}, {}
+    for ix, (a, b) in enumerate(edges):
+        nid = f"e{ix}"
+        persistent = rng.random() < 0.7
+        nodes.append({"id": nid, "ends": [a, b], "stab": 1,
+                      "persistent": persistent})
+        if persistent:
+            gluing[nid] = t_power(rng.randint(-3, 5))
+    n_self, n_gadgets = rng.randint(6, 10), rng.randint(6, 10)
+    hosts = rng.sample(bodies, n_self + 2 * n_gadgets)
+    for ix, host in enumerate(hosts[:n_self]):
+        nid = f"s{ix}"
+        nodes.append({"id": nid, "ends": [host, host], "stab": 2,
+                      "persistent": True})
+        gluing[nid] = t_power(rng.randint(-3, 5))
+        extra_mu[nid] = 2
+        degree[host] = Fraction(rng.randint(-6, 6), 2)
+    for ix in range(n_gadgets):
+        host_a, host_b = hosts[n_self + 2 * ix], hosts[n_self + 2 * ix + 1]
+        k = rng.choice([2, 3])
+        p_id = f"p{ix}"
+        components.append({"id": p_id, "genus": 0})
+        degree[p_id] = Fraction(1, d * k)
+        nodes.append({"id": f"g{ix}a", "ends": [host_a, p_id], "stab": k,
+                      "persistent": True})
+        nodes.append({"id": f"g{ix}b", "ends": [host_b, p_id],
+                      "stab": (k // gcd(k, d - 1)) * d, "persistent": True})
+        gluing[f"g{ix}a"] = t_power(rng.randint(-3, 5))
+        gluing[f"g{ix}b"] = t_power(rng.randint(-3, 5))
+        extra_mu[f"g{ix}a"] = k
+    return {
+        "components": components,
+        "nodes": nodes,
+        "markings": [],
+        "multidegree": {"factors": 1,
+                        "deg": [{c: str(v) for c, v in degree.items()}]},
+        "grading": {"d": [d]},
+        "gluing": gluing,
+        "extra_mu": extra_mu,
+    }

@@ -324,6 +324,19 @@ def test_degenerate_missing_gluing_rejected():
         degenerate(inp)
 
 
+def test_degree_on_unknown_component_rejected():
+    # the degree on 'Z' used to vanish from the totals and the output
+    inp = DegenerationInput(
+        curve=TwistedCurve([Component("A", 2)]),
+        multidegree=MultiDegree(1, {(0, "A"): 1, (0, "Z"): 5}),
+        grading=GradingSpec(d=[1]),
+    )
+    with pytest.raises(EngineError, match="unknown component 'Z'"):
+        inp.validate()
+    with pytest.raises(EngineError, match="unknown component 'Z'"):
+        degenerate(inp)
+
+
 def test_degenerate_singular_gluing_rejected():
     c = TwistedCurve([Component("A", 2), Component("B", 2)],
                      [Node("n", ("A", "B"), persistent=True)])
