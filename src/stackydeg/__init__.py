@@ -56,25 +56,20 @@ from .engine import (
     DegenerationValidationError,
     EngineError,
     TorsionContractionError,
-    compute_blowup_parameters,
     contract_torsion_components,
     degenerate,
     degeneration_input_from_json,
     insert_exceptional_chain,
-    normalize_destabilizing_gluing,
 )
 from .errors import SchemaError
 from .field import (
     INFINITE,
     DegreeCapExceeded,
     ParseError,
-    Rat,
     RatFunc,
-    T,
     format_ratfunc,
     parse_ratfunc,
     t_power,
-    val,
 )
 
 __version__ = "0.1.0"

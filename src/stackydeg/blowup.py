@@ -187,20 +187,19 @@ def an_blowup_step(s: AnSing) -> tuple:
     return AnSing(max(s.a - 2, 1), s.mu_order), count
 
 
-def resolve_An(s: AnSing) -> tuple:
-    """Resolve by repeated point blow-ups: (iterations, exceptional curves).
+def resolve_An(s: AnSing) -> list:
+    """Resolve by repeated point blow-ups: one (before, after, exceptional
+    curves) triple per step.
 
     Starting from xy = z**a this takes floor(a/2) steps and produces
     a - 1 exceptional curves in total.
     """
-    current = s
-    iterations = 0
-    total = 0
-    while current.a >= 2:
-        current, count = an_blowup_step(current)
-        iterations += 1
-        total += count
-    return iterations, total
+    steps = []
+    while s.a >= 2:
+        after, count = an_blowup_step(s)
+        steps.append((s, after, count))
+        s = after
+    return steps
 
 
 def contract_singularity(p_sing: AnSing, q_sing: AnSing, k: int) -> AnSing:

@@ -12,20 +12,18 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .blowup import (
     AnSing,
     BlowupParams,
-    an_blowup_step,
     mu_action_on_blowup,
     resolve_An,
     theta_smoothing_order,
     twisted_blowup,
 )
 from .curve import TORSION_CRITERION_NOTE
-from .dvrlinalg import Mat, NonSquareMatrixError, SingularMatrixError, smith_normal_form
+from .dvrlinalg import Mat, SingularMatrixError, smith_normal_form
 from .engine import (
     DegenerationInput,
     EngineError,
@@ -44,15 +42,6 @@ BUILTIN_SCENARIOS = (
 )
 
 DEFAULT_MAX_DEGREE = 64
-
-
-@dataclass
-class ScenarioSpec:
-    name: str
-    input: DegenerationInput
-    out_path: str | None = None
-    dot_path: str | None = None
-    log_path: str | None = None
 
 
 def _dumps(obj) -> str:
@@ -148,10 +137,15 @@ def _scalar_matrix(power: int) -> dict:
 # Running.
 
 
-def run(spec: ScenarioSpec) -> int:
-    """Execute one scenario and write its artifacts; returns the exit code."""
+def run(inp: DegenerationInput, args) -> int:
+    """Run the pipeline and write the artifacts named by ``args.out``,
+    ``args.dot`` and ``args.log``; returns the exit code.
+
+    A limit that fails validation still gets its report, with the step
+    log, written to ``args.out``; every other failure propagates.
+    """
     try:
-        output = degenerate(spec.input)
+        output = degenerate(inp)
     except DegenerationValidationError as exc:
         report = {
             "error": str(exc),
@@ -161,17 +155,14 @@ def run(spec: ScenarioSpec) -> int:
                 "torsion_criterion": TORSION_CRITERION_NOTE,
             },
         }
-        _emit(spec.out_path, _dumps(report))
+        _emit(args.out, _dumps(report))
         return 1
-    except (EngineError, SingularMatrixError, NonSquareMatrixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _emit(spec.out_path, _dumps(output.to_json_dict()))
-    if spec.dot_path:
-        with open(spec.dot_path, "w", encoding="utf-8") as fh:
+    _emit(args.out, _dumps(output.to_json_dict()))
+    if args.dot:
+        with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(output.limit_curve.to_dot(output.limit_multidegree))
-    if spec.log_path:
-        with open(spec.log_path, "w", encoding="utf-8") as fh:
+    if args.log:
+        with open(args.log, "w", encoding="utf-8") as fh:
             fh.write(_dumps(output.log))
     return 0
 
@@ -197,18 +188,20 @@ def _load_json(path: str):
 def _cmd_degen(args) -> int:
     obj = _load_json(args.input)
     inp = degeneration_input_from_json(obj, max_degree=_degree_cap())
-    return run(ScenarioSpec(args.input, inp, args.out, args.dot, args.log))
+    return run(inp, args)
 
 
 def _cmd_scenario(args) -> int:
     doc = builtin_scenario(args.name, k=args.k, d=args.d, m=args.m)
     inp = degeneration_input_from_json(doc)
-    return run(ScenarioSpec(args.name, inp, args.out, args.dot, args.log))
+    return run(inp, args)
 
 
 def _cmd_snf(args) -> int:
     obj = _load_json(args.matrix)
     mat = Mat.from_json_dict(obj, "", max_degree=_degree_cap())
+    if mat.cols != mat.rows:
+        raise SchemaError("/cols", f"expected a square matrix ({mat.rows} columns)")
     result = smith_normal_form(mat)
     sys.stdout.write(_dumps(result.to_json_dict()))
     return 0
@@ -225,20 +218,14 @@ def _cmd_blowup(args) -> int:
 
 def _cmd_resolve(args) -> int:
     sing = AnSing(args.a, args.mu)
-    steps = []
-    current = sing
-    while current.a >= 2:
-        nxt, count = an_blowup_step(current)
-        steps.append({"a_before": current.a, "a_after": nxt.a,
-                      "exceptional_curves": count})
-        current = nxt
-    iterations, total = resolve_An(sing)
+    steps = resolve_An(sing)
     sys.stdout.write(_dumps({
         "a": sing.a,
         "mu": sing.mu_order,
-        "steps": steps,
-        "iterations": iterations,
-        "total_exceptional": total,
+        "steps": [{"a_before": before.a, "a_after": after.a,
+                   "exceptional_curves": count} for before, after, count in steps],
+        "iterations": len(steps),
+        "total_exceptional": sum(count for _, _, count in steps),
     }))
     return 0
 
@@ -288,7 +275,7 @@ def main(argv=None) -> int:
     except (SchemaError, ParseError, DegreeCapExceeded) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (EngineError, SingularMatrixError, NonSquareMatrixError) as exc:
+    except (EngineError, SingularMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -399,6 +399,10 @@ def _expect_id(obj: dict, key: str, pointer: str) -> str:
 # Multidegrees and gradings.
 
 
+# what a missing entry reads as; Fraction is immutable, so one will do
+_ZERO = Fraction(0)
+
+
 class MultiDegree:
     """Per torus factor, an exact degree for each component.
 
@@ -434,7 +438,7 @@ class MultiDegree:
         return out
 
     def degree(self, k: int, comp: str) -> Fraction:
-        return self._deg.get((k, comp), Fraction(0))
+        return self._deg.get((k, comp), _ZERO)
 
     def support(self) -> set:
         """Ids of the components with a nonzero degree in some factor."""

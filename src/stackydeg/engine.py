@@ -55,8 +55,6 @@ __all__ = [
     "EngineError",
     "TorsionContractionError",
     "DegenerationValidationError",
-    "compute_blowup_parameters",
-    "normalize_destabilizing_gluing",
     "insert_exceptional_chain",
     "contract_torsion_components",
     "degenerate",
@@ -91,46 +89,38 @@ class DegenerationInput:
     extra_mu: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        """Cross-check the parts of the input against each other.
+
+        Raises :class:`SchemaError` whose pointer names the field of the
+        input document at fault, as :func:`degeneration_input_from_json`
+        would read it.
+        """
         n = self.multidegree.n_factors
         if self.grading.n_factors != n:
-            raise EngineError(
-                f"grading has {self.grading.n_factors} factors, "
-                f"multidegree has {n}")
-        unknown = sorted(c for c in self.multidegree.support()
-                         if not self.curve.has_component(c))
-        if unknown:
-            raise EngineError(
-                f"multidegree has a degree on unknown component {unknown[0]!r}")
-        persistent = {nd.id for nd in self.curve.nodes if nd.persistent}
-        missing = sorted(persistent - set(self.gluing))
-        if missing:
-            raise EngineError(f"persistent nodes without gluing data: {missing}")
-        for nid in sorted(self.gluing):
+            raise SchemaError("/grading/d",
+                              f"expected {n} factors to match the multidegree")
+        for comp in sorted(self.multidegree.support()):
+            if not self.curve.has_component(comp):
+                k = next(k for k in range(n) if self.multidegree.degree(k, comp))
+                raise SchemaError(f"/multidegree/deg/{k}/{comp}", "unknown component id")
+        for nid, g in self.gluing.items():
+            p = f"/gluing/{nid}"
             if not self.curve.has_node(nid):
-                raise EngineError(f"gluing refers to unknown node {nid!r}")
+                raise SchemaError(p, "unknown node id")
             if not self.curve.node(nid).persistent:
-                raise EngineError(f"gluing given for non-persistent node {nid!r}")
-            g = self.gluing[nid]
+                raise SchemaError(p, "gluing data only makes sense at persistent nodes")
             if g.rows != n or g.cols != n:
-                raise EngineError(
-                    f"gluing at {nid!r} is {g.rows}x{g.cols}, expected {n}x{n}")
+                raise SchemaError(p, f"expected a {n}x{n} matrix")
+        missing = sorted(nd.id for nd in self.curve.nodes
+                         if nd.persistent and nd.id not in self.gluing)
+        if missing:
+            raise SchemaError("/gluing", f"missing matrices for persistent nodes {missing}")
         for nid, k in self.extra_mu.items():
+            p = f"/extra_mu/{nid}"
             if not self.curve.has_node(nid):
-                raise EngineError(f"extra_mu refers to unknown node {nid!r}")
+                raise SchemaError(p, "unknown node id")
             if not is_int(k) or k < 1:
-                raise EngineError(f"extra_mu at {nid!r} must be a positive integer")
-
-    def to_json_dict(self) -> dict:
-        out = self.curve.to_json_dict()
-        out["multidegree"] = self.multidegree.to_json_dict(self.curve)
-        out["grading"] = self.grading.to_json_dict()
-        out["gluing"] = {
-            nid: self.gluing[nid].to_json_dict() for nid in sorted(self.gluing)
-        }
-        if self.extra_mu:
-            out["extra_mu"] = {nid: self.extra_mu[nid]
-                               for nid in sorted(self.extra_mu)}
-        return out
+                raise SchemaError(p, "expected a positive integer")
 
 
 @dataclass
@@ -155,13 +145,16 @@ class DegenerationOutput:
 def degeneration_input_from_json(obj, max_degree: int | None = None) -> DegenerationInput:
     """Parse the flat input document (curve fields plus gluing data).
 
-    ``max_degree`` caps the polynomial degree of gluing entries; the cap
-    is meant for untrusted boundaries, library callers leave it off.
+    Only the shapes are checked here; :meth:`DegenerationInput.validate`
+    cross-checks the parts. ``max_degree`` caps the polynomial degree of
+    gluing entries; the cap is meant for untrusted boundaries, library
+    callers leave it off.
     """
     curve = TwistedCurve.from_json_dict(obj)
     if "multidegree" not in obj:
         raise SchemaError("/multidegree", "missing field")
     md = MultiDegree.from_json_dict(obj["multidegree"], "/multidegree")
+    # MultiDegree drops zero entries, so validate() never sees their ids
     comp_ids = {c.id for c in curve.components}
     for k in range(md.n_factors):
         for comp in obj["multidegree"]["deg"][k]:
@@ -171,67 +164,24 @@ def degeneration_input_from_json(obj, max_degree: int | None = None) -> Degenera
     if "grading" not in obj:
         raise SchemaError("/grading", "missing field")
     grading = GradingSpec.from_json_dict(obj["grading"], "/grading")
-    if grading.n_factors != md.n_factors:
-        raise SchemaError("/grading/d",
-                          f"expected {md.n_factors} factors to match the multidegree")
     gluing_raw = obj.get("gluing", {})
     if not isinstance(gluing_raw, dict):
         raise SchemaError("/gluing", "expected an object keyed by node id")
-    gluing = {}
-    node_ids = {n.id: n for n in curve.nodes}
-    for nid in gluing_raw:
-        p = f"/gluing/{nid}"
-        if nid not in node_ids:
-            raise SchemaError(p, "unknown node id")
-        if not node_ids[nid].persistent:
-            raise SchemaError(p, "gluing data only makes sense at persistent nodes")
-        g = Mat.from_json_dict(gluing_raw[nid], p, max_degree=max_degree)
-        if g.rows != md.n_factors or g.cols != md.n_factors:
-            raise SchemaError(p, f"expected a {md.n_factors}x{md.n_factors} matrix")
-        gluing[nid] = g
-    missing = sorted(n.id for n in curve.nodes if n.persistent and n.id not in gluing)
-    if missing:
-        raise SchemaError("/gluing", f"missing matrices for persistent nodes {missing}")
-    extra_raw = obj.get("extra_mu", {})
-    if not isinstance(extra_raw, dict):
+    gluing = {nid: Mat.from_json_dict(g, f"/gluing/{nid}", max_degree=max_degree)
+              for nid, g in gluing_raw.items()}
+    extra_mu = obj.get("extra_mu", {})
+    if not isinstance(extra_mu, dict):
         raise SchemaError("/extra_mu", "expected an object keyed by node id")
-    extra_mu = {}
-    for nid, k in extra_raw.items():
-        p = f"/extra_mu/{nid}"
-        if nid not in node_ids:
-            raise SchemaError(p, "unknown node id")
-        if not is_int(k) or k < 1:
-            raise SchemaError(p, "expected a positive integer")
-        extra_mu[nid] = k
-    return DegenerationInput(curve, md, grading, gluing, extra_mu)
+    inp = DegenerationInput(curve, md, grading, gluing, dict(extra_mu))
+    inp.validate()
+    return inp
 
 
 # ---------------------------------------------------------------------------
-# Step 1 helpers: insertion parameters and gluing normalization.
-
-
-def compute_blowup_parameters(g: Mat, grading: GradingSpec) -> list:
-    """Insertion parameters (m_k, d_k), one per factor, from the gluing.
-
-    The m_k are the sorted diagonal valuations of the Smith normal form
-    (unit factors dropped); a factor with m_k = 0 needs no insertion
-    because its line bundle already extends across the node.
-    """
-    if grading.n_factors != g.rows:
-        raise EngineError(
-            f"grading has {grading.n_factors} factors for a {g.rows}x{g.cols} gluing")
-    snf = smith_normal_form(g, transforms=False)
-    return list(zip(snf.diag_valuations, grading.d))
+# Step 1 helpers: gluing normalization.
 
 
 def _normalized_valuations(m1: int, m2: int, k: int) -> tuple:
-    # reachable moves: (c, c) for any c and (k*delta, 0) for any delta
-    delta = max(0, -((m1 - m2) // k))
-    return (m1 - m2 + k * delta, 0)
-
-
-def normalize_destabilizing_gluing(curve: TwistedCurve, comp_id: str,
-                                   valuations: tuple, k: int) -> tuple:
     """Reduce the gluing exponents (m1, m2) on a two-noded rational curve.
 
     A global fiber rescaling shifts both exponents together and a
@@ -240,15 +190,8 @@ def normalize_destabilizing_gluing(curve: TwistedCurve, comp_id: str,
     non-negative m1' = m1 - m2 + k*delta. No reduction beyond sign
     repair is performed.
     """
-    comp = curve.component(comp_id)
-    incident = [n for n in curve.nodes_on(comp_id) if not n.is_self_node]
-    if comp.genus != 0 or len(incident) != 2 or curve.branch_count(comp_id) != 2:
-        raise EngineError(
-            f"component {comp_id!r} is not a two-noded rational curve")
-    if k < 1:
-        raise EngineError("the shift step must be a positive integer")
-    m1, m2 = valuations
-    return _normalized_valuations(m1, m2, k)
+    delta = max(0, -((m1 - m2) // k))
+    return (m1 - m2 + k * delta, 0)
 
 
 def _effective_mu(node: Node, extra_mu: dict):

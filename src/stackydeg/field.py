@@ -28,20 +28,14 @@ import re
 from fractions import Fraction
 
 __all__ = [
-    "Rat",
     "RatFunc",
     "INFINITE",
-    "T",
     "t_power",
-    "val",
     "parse_ratfunc",
     "format_ratfunc",
     "ParseError",
     "DegreeCapExceeded",
 ]
-
-#: Exact rational scalar type.
-Rat = Fraction
 
 #: Valuation of the zero function.
 INFINITE = math.inf
@@ -178,10 +172,6 @@ class RatFunc:
             return cls((0,) * k + (1,))
         return cls(1, (0,) * (-k) + (1,))
 
-    @classmethod
-    def parse(cls, text: str, max_degree: int | None = None) -> "RatFunc":
-        return parse_ratfunc(text, max_degree=max_degree)
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -270,15 +260,6 @@ class RatFunc:
             return NotImplemented
         return o * self.inv()
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        base = self if k >= 0 else self.inv()
-        out = RatFunc(1)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -295,17 +276,8 @@ class RatFunc:
         return f"RatFunc({format_ratfunc(self)!r})"
 
 
-#: The uniformizer t.
-T = RatFunc.variable()
-
-
 def t_power(k: int) -> RatFunc:
     return RatFunc.t_power(k)
-
-
-def val(f: RatFunc):
-    """Valuation of f at t = 0 (INFINITE for f = 0)."""
-    return f.val()
 
 
 # ---------------------------------------------------------------------------

@@ -135,9 +135,9 @@ def test_c4_blowup_formulas():
                 assert r.exceptional_self_intersection == Fraction(-1, m * d)
                 assert r.ideal_degree_on_exceptional == Fraction(1, d)
         for a in range(2, 65):
-            iterations, total = resolve_An(AnSing(a))
-            assert total == a - 1
-            assert iterations == a // 2
+            steps = resolve_An(AnSing(a))
+            assert sum(count for _, _, count in steps) == a - 1
+            assert len(steps) == a // 2
         assert different_degree(2, 2) == -1
         for km in range(2, 13):
             for kn in range(2, 13):

@@ -135,9 +135,10 @@ def test_step_smooth_rejected():
 
 
 def test_resolve_small():
-    assert resolve_An(AnSing(2)) == (1, 1)
-    assert resolve_An(AnSing(4)) == (2, 3)
-    assert resolve_An(AnSing(1)) == (0, 0)
+    assert resolve_An(AnSing(2)) == [(AnSing(2), AnSing(1), 1)]
+    assert resolve_An(AnSing(4, 3)) == [(AnSing(4, 3), AnSing(2, 3), 2),
+                                        (AnSing(2, 3), AnSing(1, 3), 1)]
+    assert resolve_An(AnSing(1)) == []
 
 
 def test_resolve_counts_match_recursion():
@@ -146,9 +147,11 @@ def test_resolve_counts_match_recursion():
     for a in range(2, 65):
         counts[a] = (2 if a >= 3 else 1) + counts[max(a - 2, 1 if a % 2 else 0)]
     for a in range(1, 65):
-        iterations, total = resolve_An(AnSing(a))
-        assert total == a - 1 == counts.get(a, a - 1)
-        assert iterations == a // 2
+        steps = resolve_An(AnSing(a))
+        assert sum(count for _, _, count in steps) == a - 1 == counts.get(a, a - 1)
+        assert len(steps) == a // 2
+        # each step starts where the previous one stopped
+        assert [after for _, after, _ in steps[:-1]] == [s for s, _, _ in steps[1:]]
 
 
 # -- contraction ---------------------------------------------------------------------
@@ -177,8 +180,8 @@ def test_contract_then_resolve_curve_count():
         for m in (1, 2, 3):
             for n in (1, 2, 4):
                 merged = contract_singularity(AnSing(m, k), AnSing(n, k), k)
-                _, total = resolve_An(merged)
-                assert total == k * (m + n) - 1
+                steps = resolve_An(merged)
+                assert sum(count for _, _, count in steps) == k * (m + n) - 1
 
 
 # -- log-canonical degree --------------------------------------------------------------

@@ -1,10 +1,11 @@
 import json
+import os
 
 import pytest
 
-from stackydeg import validate_twisted_map
+from stackydeg import DegenerationInput, Mat, SchemaError, degenerate, validate_twisted_map
 from stackydeg.cli import builtin_scenario, main
-from stackydeg.curve import MultiDegree, TwistedCurve
+from stackydeg.curve import GradingSpec, MultiDegree, TwistedCurve
 
 
 def run_cli(*argv):
@@ -99,11 +100,14 @@ def test_empty_weight_row_rejected_with_pointer(tmp_path, capsys):
     assert "/grading/weights/0" in err
 
 
-def _set_true(doc, path):
-    *parents, last = path
-    for key in parents:
-        doc = doc[key]
-    doc[last] = True
+def _set_in(path, value):
+    """An edit that sets the field at ``path`` of a document to ``value``."""
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return edit
 
 
 @pytest.mark.parametrize("scenario, path, pointer", [
@@ -118,7 +122,7 @@ def _set_true(doc, path):
 ])
 def test_bool_for_int_rejected_with_pointer(tmp_path, capsys, scenario, path, pointer):
     doc = builtin_scenario(scenario)
-    _set_true(doc, path)
+    _set_in(path, True)(doc)
     code, err = _degen_error(tmp_path, capsys, doc)
     assert code == 2
     assert pointer in err
@@ -183,6 +187,13 @@ def test_snf_singular_exit_1(tmp_path, capsys):
     assert run_cli("snf", str(src)) == 1
 
 
+def test_snf_non_square_exit_2_with_pointer(tmp_path, capsys):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps({"rows": 1, "cols": 2, "entries": [["1", "t"]]}))
+    assert run_cli("snf", str(src)) == 2
+    assert capsys.readouterr().err.startswith("input error: /cols: ")
+
+
 def test_blowup_command(capsys):
     assert run_cli("blowup", "--m", "2", "--d", "3", "--mu", "2") == 0
     doc = json.loads(capsys.readouterr().out)
@@ -206,3 +217,112 @@ def test_resolve_command(capsys):
 def test_unknown_scenario_rejected():
     with pytest.raises(SystemExit):
         run_cli("scenario", "no-such-scenario")
+
+
+# -- cross-reference faults: one per document, exact pointer --------------------
+
+SQUARE_2 = {"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}
+
+# (id, edit of a theta-example-3 document, pointer, expressible in the library)
+CROSS_REFERENCE_FAULTS = [
+    ("grading-factors", _set_in(("grading", "d"), [2, 2]), "/grading/d", True),
+    ("degree-unknown-comp", _set_in(("multidegree", "deg", 0, "Z"), "1"),
+     "/multidegree/deg/0/Z", True),
+    # MultiDegree drops a zero entry, so only the reader sees this one
+    ("zero-degree-unknown-comp", _set_in(("multidegree", "deg", 0, "Z"), "0"),
+     "/multidegree/deg/0/Z", False),
+    ("gluing-unknown-node", _set_in(("gluing", "nX"), {"rows": 1, "cols": 1,
+                                                       "entries": [["t"]]}),
+     "/gluing/nX", True),
+    ("gluing-non-persistent", _set_in(("nodes", 1, "persistent"), False),
+     "/gluing/n2", True),
+    ("gluing-wrong-shape", _set_in(("gluing", "n2"), SQUARE_2), "/gluing/n2", True),
+    ("gluing-not-square", _set_in(("gluing", "n2"), {"rows": 1, "cols": 2,
+                                                     "entries": [["1", "t"]]}),
+     "/gluing/n2", True),
+    ("gluing-missing", lambda doc: doc["gluing"].pop("n1"), "/gluing", True),
+    ("gluing-not-object", _set_in(("gluing",), []), "/gluing", False),
+    ("extra-mu-unknown-node", _set_in(("extra_mu", "nX"), 2), "/extra_mu/nX", True),
+    ("extra-mu-zero", _set_in(("extra_mu", "n1"), 0), "/extra_mu/n1", True),
+    ("extra-mu-negative", _set_in(("extra_mu", "n1"), -3), "/extra_mu/n1", True),
+    ("extra-mu-string", _set_in(("extra_mu", "n1"), "2"), "/extra_mu/n1", True),
+    ("extra-mu-float", _set_in(("extra_mu", "n1"), 2.0), "/extra_mu/n1", True),
+    ("extra-mu-bool", _set_in(("extra_mu", "n1"), True), "/extra_mu/n1", True),
+    ("extra-mu-not-object", _set_in(("extra_mu",), [2]), "/extra_mu", False),
+]
+
+
+def _faulty_doc(edit):
+    doc = builtin_scenario("theta-example-3")
+    edit(doc)
+    return doc
+
+
+def _parts(doc) -> DegenerationInput:
+    """The input a library caller would build: the parts, unchecked."""
+    return DegenerationInput(
+        TwistedCurve.from_json_dict(doc),
+        MultiDegree.from_json_dict(doc["multidegree"]),
+        GradingSpec.from_json_dict(doc["grading"]),
+        {nid: Mat.from_json_dict(g) for nid, g in doc["gluing"].items()},
+        dict(doc["extra_mu"]),
+    )
+
+
+@pytest.mark.parametrize("edit, pointer", [row[1:3] for row in CROSS_REFERENCE_FAULTS],
+                         ids=[row[0] for row in CROSS_REFERENCE_FAULTS])
+def test_cross_reference_fault_exit_2_with_pointer(tmp_path, capsys, edit, pointer):
+    code, err = _degen_error(tmp_path, capsys, _faulty_doc(edit))
+    assert code == 2
+    assert err.startswith(f"input error: {pointer}: ")
+
+
+@pytest.mark.parametrize("edit, pointer",
+                         [row[1:3] for row in CROSS_REFERENCE_FAULTS if row[3]],
+                         ids=[row[0] for row in CROSS_REFERENCE_FAULTS if row[3]])
+def test_cross_reference_fault_validate_pointer(edit, pointer):
+    inp = _parts(_faulty_doc(edit))
+    with pytest.raises(SchemaError) as exc:
+        inp.validate()
+    assert exc.value.pointer == pointer
+    with pytest.raises(SchemaError) as exc:
+        degenerate(inp)
+    assert exc.value.pointer == pointer
+
+
+def test_cross_reference_base_document_is_clean():
+    doc = builtin_scenario("theta-example-3")
+    _parts(doc).validate()
+    assert run_cli("scenario", "theta-example-3", "--out", os.devnull) == 0
+
+
+RESOLVE_6_MU_2 = """\
+{
+  "a": 6,
+  "iterations": 3,
+  "mu": 2,
+  "steps": [
+    {
+      "a_after": 4,
+      "a_before": 6,
+      "exceptional_curves": 2
+    },
+    {
+      "a_after": 2,
+      "a_before": 4,
+      "exceptional_curves": 2
+    },
+    {
+      "a_after": 1,
+      "a_before": 2,
+      "exceptional_curves": 1
+    }
+  ],
+  "total_exceptional": 5
+}
+"""
+
+
+def test_resolve_stdout_golden(capsys):
+    assert run_cli("resolve", "--a", "6", "--mu", "2") == 0
+    assert capsys.readouterr().out == RESOLVE_6_MU_2

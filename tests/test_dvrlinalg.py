@@ -188,7 +188,11 @@ def differential_corpus():
 
 
 def test_truncated_snf_matches_full_transform_and_det():
-    for a in differential_corpus():
+    # the pipeline's insertion parameters m_k are these valuations
+    known = [([["t^3"]], (3,)), ([["t+1"]], (0,)), ([["t", "t"], ["t", "t^3"]], (1, 1))]
+    for rows, diag in known:
+        assert smith_normal_form(mat(rows), transforms=False).diag_valuations == diag
+    for a in [mat(rows) for rows, _ in known] + differential_corpus():
         fast = smith_normal_form(a, transforms=False)
         full = smith_normal_form(a)
         assert fast.left is None and fast.right is None
@@ -251,6 +255,7 @@ def test_truncated_snf_matches_sympy_invariant_factors():
     [["t+1", "2t+2"], ["3", "6"]],
     [["1/t^2+t", "1/2t+1/2/t^3-1/2t"], ["2/t^2+t", "t+1/t^3-1/2t"]],
     [["1", "t", "t^2"], ["t", "1+t", "3"], ["1+t", "1+2t", "t^2+3"]],
+    [["t", "t"], ["t", "t"]],
 ])
 def test_truncated_snf_singular_rejected(rows):
     a = mat(rows)

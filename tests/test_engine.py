@@ -12,16 +12,15 @@ from stackydeg import (
     Mat,
     MultiDegree,
     Node,
+    SchemaError,
     SingularMatrixError,
     TorsionContractionError,
     TwistedCurve,
     arithmetic_genus,
-    compute_blowup_parameters,
     contract_torsion_components,
     degenerate,
     degeneration_input_from_json,
     insert_exceptional_chain,
-    normalize_destabilizing_gluing,
     parse_ratfunc,
     smith_normal_form,
     validate_twisted_map,
@@ -36,53 +35,65 @@ def mat(rows):
     return Mat([[rf(x) for x in row] for row in rows])
 
 
-# -- compute_blowup_parameters ---------------------------------------------------
+# -- insertion parameters: the snf record of a run ----------------------------
+
+def snf_record(entries, d):
+    """The snf record of a run on two genus-2 bodies joined at one
+    persistent node glued by ``entries``; the pipeline inserts with the
+    parameters zip(diag_valuations, d)."""
+    n = len(d)
+    inp = DegenerationInput(
+        curve=TwistedCurve([Component("A", 2), Component("B", 2)],
+                           [Node("n", ("A", "B"), persistent=True)]),
+        multidegree=MultiDegree(n), grading=GradingSpec(d=d),
+        gluing={"n": mat(entries)})
+    return next(r for r in degenerate(inp).log if r["type"] == "snf")
+
 
 def test_parameters_single_valuation():
-    assert compute_blowup_parameters(mat([["t^3"]]), GradingSpec(d=(1,))) == [(3, 1)]
+    rec = snf_record([["t^3"]], (1,))
+    assert (rec["diag_valuations"], rec["d"]) == ([3], [1])
 
 
 def test_parameters_from_snf():
-    params = compute_blowup_parameters(
-        mat([["t", "t"], ["t", "t^3"]]), GradingSpec(d=(2, 2)))
-    assert params == [(1, 2), (1, 2)]
+    rec = snf_record([["t", "t"], ["t", "t^3"]], (2, 2))
+    assert (rec["diag_valuations"], rec["d"]) == ([1, 1], [2, 2])
 
 
 def test_parameters_unit_no_insertion():
-    assert compute_blowup_parameters(mat([["t+1"]]), GradingSpec(d=(5,))) == [(0, 5)]
+    rec = snf_record([["t+1"]], (5,))
+    assert (rec["diag_valuations"], rec["d"]) == ([0], [5])
 
 
 def test_parameters_singular_rejected():
     with pytest.raises(SingularMatrixError):
-        compute_blowup_parameters(mat([["t", "t"], ["t", "t"]]), GradingSpec(d=(1, 1)))
+        snf_record([["t", "t"], ["t", "t"]], (1, 1))
 
 
-# -- normalize_destabilizing_gluing ------------------------------------------------
+# -- normalization: the normalize record of a run --------------------------------
 
-def destab_comp_curve():
-    return TwistedCurve(
-        [Component("C", 2), Component("P", 0)],
-        [Node("n1", ("C", "P"), persistent=True),
-         Node("n2", ("C", "P"), persistent=True)],
-    )
+def normalize_record(m1, m2, k):
+    """The normalize record of a theta-example-3 run with gluings t^m1 at
+    n1 and t^m2 at n2 and extra_mu k at n1; None when nothing moved."""
+    doc = builtin_scenario("theta-example-3", k=k)
+    doc["gluing"] = {"n1": {"rows": 1, "cols": 1, "entries": [[f"t^{m1}"]]},
+                     "n2": {"rows": 1, "cols": 1, "entries": [[f"t^{m2}"]]}}
+    log = degenerate(degeneration_input_from_json(doc)).log
+    return next((r for r in log if r["type"] == "normalize"), None)
 
 
 def test_normalize_plain_difference():
-    assert normalize_destabilizing_gluing(destab_comp_curve(), "P", (5, 3), 2) == (2, 0)
+    rec = normalize_record(5, 3, 2)
+    assert (rec["before"], rec["after"], rec["step"]) == ([5, 3], [2, 0], 2)
 
 
 def test_normalize_identity():
-    assert normalize_destabilizing_gluing(destab_comp_curve(), "P", (0, 0), 4) == (0, 0)
+    assert normalize_record(0, 0, 4) is None
 
 
 def test_normalize_negative_repaired_in_steps():
-    assert normalize_destabilizing_gluing(destab_comp_curve(), "P", (1, 4), 3) == (0, 0)
-    assert normalize_destabilizing_gluing(destab_comp_curve(), "P", (1, 5), 3) == (2, 0)
-
-
-def test_normalize_wrong_component_rejected():
-    with pytest.raises(EngineError):
-        normalize_destabilizing_gluing(destab_comp_curve(), "C", (1, 0), 1)
+    assert normalize_record(1, 4, 3)["after"] == [0, 0]
+    assert normalize_record(1, 5, 3)["after"] == [2, 0]
 
 
 # -- insert_exceptional_chain -------------------------------------------------------
@@ -320,8 +331,9 @@ def test_degenerate_missing_gluing_rejected():
         curve=c, multidegree=MultiDegree(1, {(0, "A"): 1}),
         grading=GradingSpec(d=(1,)),
     )
-    with pytest.raises(EngineError):
+    with pytest.raises(SchemaError) as exc:
         degenerate(inp)
+    assert exc.value.pointer == "/gluing"
 
 
 def test_degree_on_unknown_component_rejected():
@@ -331,10 +343,12 @@ def test_degree_on_unknown_component_rejected():
         multidegree=MultiDegree(1, {(0, "A"): 1, (0, "Z"): 5}),
         grading=GradingSpec(d=[1]),
     )
-    with pytest.raises(EngineError, match="unknown component 'Z'"):
+    with pytest.raises(SchemaError) as exc:
         inp.validate()
-    with pytest.raises(EngineError, match="unknown component 'Z'"):
+    assert exc.value.pointer == "/multidegree/deg/0/Z"
+    with pytest.raises(SchemaError) as exc:
         degenerate(inp)
+    assert exc.value.pointer == "/multidegree/deg/0/Z"
 
 
 def test_degenerate_singular_gluing_rejected():

@@ -9,34 +9,33 @@ from stackydeg import (
     DegreeCapExceeded,
     ParseError,
     RatFunc,
-    T,
     format_ratfunc,
     parse_ratfunc,
     t_power,
-    val,
 )
 
 rf = parse_ratfunc
+T = RatFunc.variable()
 
 
 # -- valuation ---------------------------------------------------------------
 
 def test_val_order_of_vanishing():
-    assert val(rf("t^3/t+1")) == 3
+    assert rf("t^3/t+1").val() == 3
 
 
 def test_val_unit():
-    assert val(rf("1")) == 0
+    assert rf("1").val() == 0
 
 
 def test_val_pole():
     # numerator t^2 - t^4 factors as t^2(1 - t^2); exponents subtract
     f = rf("t^2-t^4") / rf("t^5")
-    assert val(f) == -3
+    assert f.val() == -3
 
 
 def test_val_zero_is_infinite():
-    assert val(RatFunc(0)) == INFINITE
+    assert RatFunc(0).val() == INFINITE
 
 
 # -- arithmetic --------------------------------------------------------------
@@ -46,7 +45,7 @@ def test_add_cancels():
 
 
 def test_mul_across_pole():
-    assert rf("1/t") * T ** 2 == T
+    assert rf("1/t") * t_power(2) == T
 
 
 def test_inv_reciprocal():
@@ -92,13 +91,13 @@ def test_degree_cap():
 
 
 def test_t_power_negative():
-    assert t_power(-2) == RatFunc(1) / T ** 2
+    assert t_power(-2) == RatFunc(1) / (T * T)
     assert t_power(0) == RatFunc(1)
 
 
 def test_format_examples():
     assert str(RatFunc(0)) == "0"
-    assert str(-(T ** 2) + 1) == "-t^2+1"
+    assert str(-(T * T) + 1) == "-t^2+1"
     assert str(rf("3/4t-2")) == "3/4t-2"
     assert format_ratfunc(T.inv()) == "1/t"
 
@@ -133,12 +132,12 @@ def test_inverses(f):
 @given(ratfuncs, ratfuncs)
 def test_valuation_laws(f, g):
     if not f.is_zero() and not g.is_zero():
-        assert val(f * g) == val(f) + val(g)
+        assert (f * g).val() == f.val() + g.val()
     s = f + g
     if not s.is_zero():
-        assert val(s) >= min(val(f), val(g))
-    if not f.is_zero() and not g.is_zero() and val(f) != val(g):
-        assert val(s) == min(val(f), val(g))
+        assert s.val() >= min(f.val(), g.val())
+    if not f.is_zero() and not g.is_zero() and f.val() != g.val():
+        assert s.val() == min(f.val(), g.val())
 
 
 @settings(max_examples=200)
