@@ -48,7 +48,6 @@ from .dvrlinalg import (
     SnfResult,
     clear_denominators,
     smith_normal_form,
-    valuation_of_det,
 )
 from .engine import (
     DegenerationInput,

@@ -111,7 +111,6 @@ class MuActionReport:
     faithful_on_exceptional: bool
     fixed_point_count: int | None
     stabilizer_order_bound: int
-    stabilizers_cyclic: bool = True
 
     def to_json_dict(self) -> dict:
         return {
@@ -123,7 +122,7 @@ class MuActionReport:
             "faithful_on_exceptional": self.faithful_on_exceptional,
             "fixed_point_count": self.fixed_point_count,
             "stabilizer_order_bound": self.stabilizer_order_bound,
-            "stabilizers_cyclic": self.stabilizers_cyclic,
+            "stabilizers_cyclic": True,
         }
 
 
@@ -164,10 +163,6 @@ class AnSing:
             raise ValueError("singularity index a must be >= 1")
         if self.mu_order < 1:
             raise ValueError("mu_order must be >= 1")
-
-    @property
-    def is_smooth(self) -> bool:
-        return self.a == 1
 
     def to_json_dict(self) -> dict:
         return {"a": self.a, "mu": self.mu_order}

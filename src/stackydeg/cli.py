@@ -22,7 +22,6 @@ from .blowup import (
     theta_smoothing_order,
     twisted_blowup,
 )
-from .curve import TORSION_CRITERION_NOTE
 from .dvrlinalg import Mat, SingularMatrixError, smith_normal_form
 from .engine import (
     DegenerationInput,
@@ -32,7 +31,6 @@ from .engine import (
     degeneration_input_from_json,
 )
 from .errors import SchemaError
-from .field import DegreeCapExceeded, ParseError
 
 BUILTIN_SCENARIOS = (
     "theta-example-1",
@@ -147,15 +145,7 @@ def run(inp: DegenerationInput, args) -> int:
     try:
         output = degenerate(inp)
     except DegenerationValidationError as exc:
-        report = {
-            "error": str(exc),
-            "log": exc.log,
-            "validation": {
-                "violations": [v.to_json_dict() for v in exc.violations],
-                "torsion_criterion": TORSION_CRITERION_NOTE,
-            },
-        }
-        _emit(args.out, _dumps(report))
+        _emit(args.out, _dumps(exc.to_json_dict()))
         return 1
     _emit(args.out, _dumps(output.to_json_dict()))
     if args.dot:
@@ -181,7 +171,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError("/", f"cannot read {path}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:
+        # ValueError covers JSONDecodeError, bad UTF-8 and over-long integers
         raise SchemaError("/", f"malformed JSON: {exc}")
 
 
@@ -208,16 +199,22 @@ def _cmd_snf(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
-    params = BlowupParams(args.m, args.d)
-    report = {"blowup": twisted_blowup(params).to_json_dict()}
-    if args.mu is not None:
-        report["mu_action"] = mu_action_on_blowup(args.mu, params).to_json_dict()
+    try:
+        params = BlowupParams(args.m, args.d)
+        report = {"blowup": twisted_blowup(params).to_json_dict()}
+        if args.mu is not None:
+            report["mu_action"] = mu_action_on_blowup(args.mu, params).to_json_dict()
+    except ValueError as exc:
+        raise SchemaError("/blowup", str(exc))
     sys.stdout.write(_dumps(report))
     return 0
 
 
 def _cmd_resolve(args) -> int:
-    sing = AnSing(args.a, args.mu)
+    try:
+        sing = AnSing(args.a, args.mu)
+    except ValueError as exc:
+        raise SchemaError("/resolve", str(exc))
     steps = resolve_An(sing)
     sys.stdout.write(_dumps({
         "a": sing.a,
@@ -272,13 +269,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, ParseError, DegreeCapExceeded) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except (EngineError, SingularMatrixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except ValueError as exc:  # SchemaError, ParseError, DegreeCapExceeded, ...
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

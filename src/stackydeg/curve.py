@@ -589,12 +589,6 @@ class GradingSpec:
     def __repr__(self):
         return f"GradingSpec(d={self.d})"
 
-    def to_json_dict(self) -> dict:
-        out = {"d": list(self.d)}
-        if self.weights is not None:
-            out["weights"] = [None if w is None else list(w) for w in self.weights]
-        return out
-
     @classmethod
     def from_json_dict(cls, obj, pointer: str = "") -> "GradingSpec":
         if not isinstance(obj, dict):
@@ -631,29 +625,19 @@ def arithmetic_genus(curve: TwistedCurve) -> int:
     return sum(c.genus for c in curve.components) + curve.first_betti()
 
 
-def omega_degree_on_component(curve: TwistedCurve, comp_id: str,
-                              extra_markings: bool = True) -> int:
-    """Coarse degree of the (marked) dualizing sheaf on one component."""
+def omega_degree_on_component(curve: TwistedCurve, comp_id: str) -> int:
+    """Coarse degree of the marked dualizing sheaf on one component."""
     c = curve.component(comp_id)
-    deg = 2 * c.genus - 2 + curve.branch_count(comp_id)
-    if extra_markings:
-        deg += len(curve.markings_on(comp_id))
-    return deg
+    return (2 * c.genus - 2 + curve.branch_count(comp_id)
+            + len(curve.markings_on(comp_id)))
 
 
-def quasi_stability_check(curve: TwistedCurve, pullback_ample_deg=None) -> dict:
-    """Classify each component as STABLE, DESTABILIZING_P1 or VIOLATION.
-
-    ``pullback_ample_deg`` maps component ids to the (non-negative)
-    degree of the pulled-back polarization; missing entries read as zero.
-    """
-    ample = pullback_ample_deg or {}
+def quasi_stability_check(curve: TwistedCurve) -> dict:
+    """Classify each component as STABLE, DESTABILIZING_P1 or VIOLATION
+    by the degree of the marked dualizing sheaf on it."""
     out = {}
     for c in curve.components:
-        a = Fraction(ample.get(c.id, 0))
-        if a < 0:
-            raise ValueError(f"negative polarization degree on {c.id!r}")
-        total = a + omega_degree_on_component(curve, c.id, extra_markings=True)
+        total = omega_degree_on_component(curve, c.id)
         if total > 0:
             out[c.id] = STABLE
         elif total == 0 and c.genus == 0:
@@ -672,8 +656,7 @@ def is_torsion_on_component(md: MultiDegree, comp_id: str) -> bool:
     return all(md.degree(k, comp_id) == 0 for k in range(md.n_factors))
 
 
-def validate_twisted_map(curve: TwistedCurve, md: MultiDegree,
-                         pullback_ample_deg=None) -> list:
+def validate_twisted_map(curve: TwistedCurve, md: MultiDegree) -> list:
     """All obstructions to the pair (curve, degrees) being a twisted map.
 
     Checks connectivity, quasi-stability of every component, and that no
@@ -685,7 +668,7 @@ def validate_twisted_map(curve: TwistedCurve, md: MultiDegree,
     if not curve.is_connected():
         violations.append(Violation(
             "cond1-disconnected", None, "the dual graph is not connected"))
-    classes = quasi_stability_check(curve, pullback_ample_deg)
+    classes = quasi_stability_check(curve)
     for c in curve.components:
         label = classes[c.id]
         if label == VIOLATION:

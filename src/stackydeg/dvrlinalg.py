@@ -34,7 +34,6 @@ __all__ = [
     "SingularMatrixError",
     "clear_denominators",
     "smith_normal_form",
-    "valuation_of_det",
 ]
 
 
@@ -66,16 +65,6 @@ class Mat:
         self.cols = width
         self._e = rows
 
-    @classmethod
-    def identity(cls, n: int) -> "Mat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, diag) -> "Mat":
-        diag = list(diag)
-        n = len(diag)
-        return cls([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def entries(self) -> tuple:
         return self._e
@@ -97,24 +86,6 @@ class Mat:
             ", ".join(format_ratfunc(x) for x in row) for row in self._e
         )
         return f"Mat[{body}]"
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise ValueError("matrix dimensions do not match")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = RatFunc(0)
-                for k in range(self.cols):
-                    acc = acc + self._e[i][k] * other._e[k][j]
-                row.append(acc)
-            out.append(row)
-        return Mat(out)
-
-    def scale(self, f) -> "Mat":
-        f = _as_rf(f)
-        return Mat([[f * x for x in row] for row in self._e])
 
     def det(self) -> RatFunc:
         """Exact determinant by fraction-friendly Gaussian elimination."""
@@ -214,15 +185,6 @@ def clear_denominators(a: Mat) -> int:
     if not vals:
         return 0
     return max(0, -min(vals))
-
-
-def valuation_of_det(a: Mat):
-    """Valuation of det(a); INFINITE when the determinant vanishes."""
-    try:
-        snf = smith_normal_form(a, transforms=False)
-    except SingularMatrixError:
-        return INFINITE
-    return sum(snf.diag_valuations) - a.rows * snf.shift
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ multidegree), a generation bound per torus factor, and an invertible
 gluing matrix over Q(t) at every persistent node, :func:`degenerate`
 produces the limit curve in four passes:
 
-1. normalize the gluing exponents on destabilizing components, using the
-   shifts available from automorphisms of a two-noded rational curve;
+1. with a single torus factor, normalize the gluing exponents on
+   destabilizing components, using the shifts available from
+   automorphisms of a two-noded rational curve;
 2. at each persistent node, read the insertion parameters m_1 <= ... <=
    m_n off the Smith normal form of the gluing matrix and insert one
    exceptional rational component per factor with m_k > 0, with its
@@ -20,12 +21,14 @@ Every pass appends tagged records to an ordered step log; the pipeline
 is a pure function of its input, so independent runs can execute
 concurrently.
 
-Each pass costs time in proportion to what it edits, not to the size of
-the graph: curves keep a per-component incidence index, every insertion
-and contraction derives the next curve from its parent and checks only
-what changed, and contraction is a single forward scan. The ``totals``
-in the log records are running per-factor totals; the final check
-compares them and the input totals with a full sum over the limit.
+Curves keep a per-component incidence index, every insertion and
+contraction checks only what changed, and contraction is one forward
+scan. But each edit copies the curve's index dicts and the degree table,
+so a run grows faster than the graph: one run per size on random trees
+of genus-2 bodies took 0.23, 0.94 and 4.8 s at 1,000, 2,000 and 4,000
+bodies (2-core Xeon VM, Python 3.11.7). The ``totals`` in the log
+records are running per-factor totals; the final check compares them and
+the input totals with a full sum over the limit.
 """
 
 from __future__ import annotations
@@ -79,6 +82,11 @@ class DegenerationValidationError(EngineError):
         detail = "; ".join(v.detail for v in self.violations)
         super().__init__(f"limit fails validation: {detail}")
 
+    def to_json_dict(self) -> dict:
+        """The failure report: the error, the step log and the violations."""
+        return {"error": str(self), "log": self.log,
+                "validation": _validation_json(self.violations)}
+
 
 @dataclass
 class DegenerationInput:
@@ -128,27 +136,29 @@ class DegenerationOutput:
     limit_curve: TwistedCurve
     limit_multidegree: MultiDegree
     log: list
-    validation: list
 
     def to_json_dict(self) -> dict:
         return {
             "limit_curve": self.limit_curve.to_json_dict(),
             "limit_multidegree": self.limit_multidegree.to_json_dict(self.limit_curve),
             "log": self.log,
-            "validation": {
-                "violations": [v.to_json_dict() for v in self.validation],
-                "torsion_criterion": TORSION_CRITERION_NOTE,
-            },
+            "validation": _validation_json(()),
         }
+
+
+def _validation_json(violations) -> dict:
+    return {"violations": [v.to_json_dict() for v in violations],
+            "torsion_criterion": TORSION_CRITERION_NOTE}
 
 
 def degeneration_input_from_json(obj, max_degree: int | None = None) -> DegenerationInput:
     """Parse the flat input document (curve fields plus gluing data).
 
-    Only the shapes are checked here; :meth:`DegenerationInput.validate`
-    cross-checks the parts. ``max_degree`` caps the polynomial degree of
-    gluing entries; the cap is meant for untrusted boundaries, library
-    callers leave it off.
+    Only shapes are checked here, plus the ids of zero degrees, which the
+    multidegree drops; :func:`degenerate` cross-checks the parts through
+    :meth:`DegenerationInput.validate`. ``max_degree`` caps the
+    polynomial degree of gluing entries; the cap is meant for untrusted
+    boundaries, library callers leave it off.
     """
     curve = TwistedCurve.from_json_dict(obj)
     if "multidegree" not in obj:
@@ -172,9 +182,7 @@ def degeneration_input_from_json(obj, max_degree: int | None = None) -> Degenera
     extra_mu = obj.get("extra_mu", {})
     if not isinstance(extra_mu, dict):
         raise SchemaError("/extra_mu", "expected an object keyed by node id")
-    inp = DegenerationInput(curve, md, grading, gluing, dict(extra_mu))
-    inp.validate()
-    return inp
+    return DegenerationInput(curve, md, grading, gluing, dict(extra_mu))
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +409,8 @@ def contract_torsion_components(curve: TwistedCurve, md: MultiDegree):
 def degenerate(inp: DegenerationInput) -> DegenerationOutput:
     """Run the full pipeline; see the module docstring for the passes.
 
+    The input's parts are cross-checked first, by
+    :meth:`DegenerationInput.validate`, which raises :class:`SchemaError`.
     Hard failures raise: a singular gluing matrix, a torsion component
     with mismatched node orders, or a final state that is not a twisted
     map (:class:`DegenerationValidationError`, which carries the step
@@ -475,4 +485,4 @@ def degenerate(inp: DegenerationInput) -> DegenerationOutput:
     violations = validate_twisted_map(curve, md)
     if violations:
         raise DegenerationValidationError(violations, log)
-    return DegenerationOutput(curve, md, log, [])
+    return DegenerationOutput(curve, md, log)

@@ -139,10 +139,8 @@ class RatFunc:
     __slots__ = ("_num", "_den")
 
     def __init__(self, num=0, den=1):
-        n = num._num if isinstance(num, RatFunc) else _as_poly(num)
+        n = _as_poly(num)
         d = _ONE if den == 1 else _as_poly(den)
-        if isinstance(num, RatFunc):
-            n, d = n, _pmul(num._den, d)
         if not d:
             raise ZeroDivisionError("rational function with zero denominator")
         if not n:
@@ -158,19 +156,6 @@ class RatFunc:
                 n = tuple(c / lead for c in n)
                 d = tuple(c / lead for c in d)
         self._num, self._den = n, d
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def variable(cls) -> "RatFunc":
-        return cls((0, 1))
-
-    @classmethod
-    def t_power(cls, k: int) -> "RatFunc":
-        """t**k for any integer k (negative powers allowed)."""
-        if k >= 0:
-            return cls((0,) * k + (1,))
-        return cls(1, (0,) * (-k) + (1,))
 
     # -- structure ----------------------------------------------------------
 
@@ -193,9 +178,6 @@ class RatFunc:
         if not self._num:
             return INFINITE
         return _porder(self._num) - _porder(self._den)
-
-    def is_regular_at_origin(self) -> bool:
-        return self.val() >= 0
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -277,7 +259,10 @@ class RatFunc:
 
 
 def t_power(k: int) -> RatFunc:
-    return RatFunc.t_power(k)
+    """t**k for any integer k (negative powers allowed)."""
+    if k >= 0:
+        return RatFunc((0,) * k + (1,))
+    return RatFunc(1, (0,) * (-k) + (1,))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from stackydeg import Mat, RatFunc
+from stackydeg import Mat, RatFunc, t_power
+from oracle import diagonal, identity, matmul
 
 UNITS = [
     RatFunc(1),
@@ -41,7 +42,7 @@ def random_regular_matrix(rng: random.Random, n: int, max_degree: int = 4) -> Ma
 
 def random_unimodular(rng: random.Random, n: int) -> Mat:
     """A product of elementary operations invertible over the local ring."""
-    out = Mat.identity(n)
+    out = identity(n)
     for _ in range(rng.randint(1, 3)):
         e = [[RatFunc(1 if i == j else 0) for j in range(n)] for i in range(n)]
         i = rng.randrange(n)
@@ -50,7 +51,7 @@ def random_unimodular(rng: random.Random, n: int) -> Mat:
             e[i][j] = rng.choice(UNITS)
         else:
             e[i][j] = rng.choice(REGULARS)
-        out = out @ Mat(e)
+        out = matmul(out, Mat(e))
     return out
 
 
@@ -65,8 +66,8 @@ def random_gluing(rng: random.Random, n: int, max_valuation: int = 5) -> Mat:
             return rng.randint(-max_valuation, max_valuation)
         return rng.randint(0, max_valuation)
 
-    diag = Mat.diagonal([RatFunc.t_power(valuation()) for _ in range(n)])
-    return random_unimodular(rng, n) @ diag @ random_unimodular(rng, n)
+    diag = diagonal([t_power(valuation()) for _ in range(n)])
+    return matmul(random_unimodular(rng, n), diag, random_unimodular(rng, n))
 
 
 def _matrix_doc(m: Mat) -> dict:
@@ -135,7 +136,7 @@ def random_engine_input(rng: random.Random) -> dict:
             nodes.append({"id": "ntheta", "ends": [theta_host, theta_host],
                           "stab": theta_k, "persistent": True})
             gluing["ntheta"] = _matrix_doc(
-                Mat([[RatFunc.t_power(rng.randint(0, 5))]]))
+                Mat([[t_power(rng.randint(0, 5))]]))
             extra_mu["ntheta"] = theta_k
         elif roll < 0.55:
             k = rng.choice([2, 3])
@@ -148,8 +149,8 @@ def random_engine_input(rng: random.Random) -> dict:
                           "stab": k, "persistent": True})
             nodes.append({"id": "tp2", "ends": [rng.choice(hosts), "ptheta"],
                           "stab": kp_d, "persistent": True})
-            gluing["tp1"] = _matrix_doc(Mat([[RatFunc.t_power(rng.randint(0, 5))]]))
-            gluing["tp2"] = _matrix_doc(Mat([[RatFunc.t_power(rng.randint(0, 5))]]))
+            gluing["tp1"] = _matrix_doc(Mat([[t_power(rng.randint(0, 5))]]))
+            gluing["tp2"] = _matrix_doc(Mat([[t_power(rng.randint(0, 5))]]))
             extra_mu["tp1"] = k
 
     deg_rows = []
@@ -198,8 +199,8 @@ def random_big_graph_input(rng: random.Random) -> dict:
     the built-in theta-example-3, which become torsion and contract for
     suitable exponents.
     """
-    def t_power(m):
-        return _matrix_doc(Mat([[RatFunc.t_power(m)]]))
+    def power_doc(m):
+        return _matrix_doc(Mat([[t_power(m)]]))
 
     n_bodies = rng.randint(60, 100)
     bodies = [f"b{i}" for i in range(n_bodies)]
@@ -216,14 +217,14 @@ def random_big_graph_input(rng: random.Random) -> dict:
         nodes.append({"id": nid, "ends": [a, b], "stab": 1,
                       "persistent": persistent})
         if persistent:
-            gluing[nid] = t_power(rng.randint(-3, 5))
+            gluing[nid] = power_doc(rng.randint(-3, 5))
     n_self, n_gadgets = rng.randint(6, 10), rng.randint(6, 10)
     hosts = rng.sample(bodies, n_self + 2 * n_gadgets)
     for ix, host in enumerate(hosts[:n_self]):
         nid = f"s{ix}"
         nodes.append({"id": nid, "ends": [host, host], "stab": 2,
                       "persistent": True})
-        gluing[nid] = t_power(rng.randint(-3, 5))
+        gluing[nid] = power_doc(rng.randint(-3, 5))
         extra_mu[nid] = 2
         degree[host] = Fraction(rng.randint(-6, 6), 2)
     for ix in range(n_gadgets):
@@ -236,8 +237,8 @@ def random_big_graph_input(rng: random.Random) -> dict:
                       "persistent": True})
         nodes.append({"id": f"g{ix}b", "ends": [host_b, p_id],
                       "stab": (k // gcd(k, d - 1)) * d, "persistent": True})
-        gluing[f"g{ix}a"] = t_power(rng.randint(-3, 5))
-        gluing[f"g{ix}b"] = t_power(rng.randint(-3, 5))
+        gluing[f"g{ix}a"] = power_doc(rng.randint(-3, 5))
+        gluing[f"g{ix}b"] = power_doc(rng.randint(-3, 5))
         extra_mu[f"g{ix}a"] = k
     return {
         "components": components,

@@ -26,10 +26,10 @@ from stackydeg import (
     t_power,
     twisted_blowup,
     validate_twisted_map,
-    valuation_of_det,
 )
 from stackydeg.cli import builtin_scenario, main
 from stackydeg.curve import DESTABILIZING_P1
+from oracle import matmul, scale, valuation_of_det
 from support import random_engine_input, random_regular_matrix, random_unimodular
 
 
@@ -92,7 +92,7 @@ def test_c2_bridge_limit():
         e_id = chain[0]["component"]
         assert all(n.stab_order == 1 for n in out.limit_curve.nodes_on(e_id))
         assert out.limit_multidegree.totals(out.limit_curve) == [Fraction(0)]
-        assert out.validation == []
+        assert validate_twisted_map(out.limit_curve, out.limit_multidegree) == []
         assert arithmetic_genus(out.limit_curve) == 5
 
     _run("C2", "bridge scenario inserts one schematic rational curve", body)
@@ -159,7 +159,7 @@ def test_c5_snf_properties():
         for a in matrices:
             r = smith_normal_form(a)
             n = a.rows
-            prod = r.left @ a.scale(t_power(r.shift)) @ r.right
+            prod = matmul(r.left, scale(a, t_power(r.shift)), r.right)
             for i in range(n):
                 for j in range(n):
                     if i == j:
@@ -169,12 +169,12 @@ def test_c5_snf_properties():
             assert r.left.det().val() == 0
             assert r.right.det().val() == 0
             assert sum(r.diag_valuations) == valuation_of_det(
-                a.scale(t_power(r.shift)))
+                scale(a, t_power(r.shift)))
             assert list(r.diag_valuations) == sorted(r.diag_valuations)
         for a in matrices[:100]:
             u = random_unimodular(rng, a.rows)
             v = random_unimodular(rng, a.rows)
-            assert (smith_normal_form(u @ a @ v).diag_valuations
+            assert (smith_normal_form(matmul(u, a, v)).diag_valuations
                     == smith_normal_form(a).diag_valuations)
 
     _run("C5", "500 diagonalizations: reconstruction, unimodularity, invariance", body)

@@ -16,6 +16,7 @@ from stackydeg import (
     resolve_An,
     twisted_blowup,
 )
+from oracle import is_smooth
 
 
 # -- twisted blow-up -------------------------------------------------------------
@@ -109,14 +110,14 @@ def test_mu_action_fixed_points():
 def test_mu_action_schematic_exceptional():
     r = mu_action_on_blowup(3, BlowupParams(2, 1))
     assert r.stabilizer_order_bound == 3
-    assert r.stabilizers_cyclic
+    assert r.to_json_dict()["stabilizers_cyclic"]
 
 
 # -- A-type resolution --------------------------------------------------------------
 
 def test_step_a2_smooths():
     after, count = an_blowup_step(AnSing(2))
-    assert after.is_smooth and count == 1
+    assert is_smooth(after) and count == 1
 
 
 def test_step_a3():

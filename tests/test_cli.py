@@ -326,3 +326,136 @@ RESOLVE_6_MU_2 = """\
 def test_resolve_stdout_golden(capsys):
     assert run_cli("resolve", "--a", "6", "--mu", "2") == 0
     assert capsys.readouterr().out == RESOLVE_6_MU_2
+
+
+# -- a limit that fails validation: the exit-1 report ---------------------------
+
+# a marked rational tail P whose degree the insertion at n moves onto the
+# exceptional curve: P is left destabilizing and torsion, and it carries a
+# marking, so contraction leaves it alone
+VALIDATION_FAILURE_DOC = {
+    "components": [{"id": "C", "genus": 2}, {"id": "P", "genus": 0}],
+    "nodes": [{"id": "n", "ends": ["C", "P"], "stab": 1, "persistent": True}],
+    "markings": [{"id": "p", "comp": "P", "gerbe": 1}],
+    "multidegree": {"factors": 1, "deg": [{"C": "1", "P": "1"}]},
+    "grading": {"d": [1]},
+    "gluing": {"n": {"rows": 1, "cols": 1, "entries": [["t"]]}},
+}
+
+VALIDATION_FAILURE_REPORT = """\
+{
+  "error": "limit fails validation: destabilizing component with zero degree in every factor",
+  "log": [
+    {
+      "d": [
+        1
+      ],
+      "d_source": [
+        "given"
+      ],
+      "diag_valuations": [
+        1
+      ],
+      "node": "n",
+      "oriented": "kept",
+      "shift": 0,
+      "totals": [
+        "2"
+      ],
+      "type": "snf"
+    },
+    {
+      "inserted": [
+        {
+          "component": "n:E1",
+          "d": 1,
+          "degree": "1",
+          "factor": 1,
+          "lost_by": "P",
+          "m": 1,
+          "mu": null,
+          "smoothing_node": {
+            "id": "n:q1",
+            "sing": {
+              "a": 1,
+              "mu": 1
+            },
+            "stab": 1
+          }
+        }
+      ],
+      "node": "n",
+      "persistent_node": {
+        "id": "n:S",
+        "stab": 1
+      },
+      "totals": [
+        "2"
+      ],
+      "type": "insert"
+    }
+  ],
+  "validation": {
+    "torsion_criterion": "torsion criterion applied componentwise across torus factors: a component counts as torsion only if its degree vanishes in every factor",
+    "violations": [
+      {
+        "detail": "destabilizing component with zero degree in every factor",
+        "kind": "cond4-torsion-destabilizing",
+        "subject": "P"
+      }
+    ]
+  }
+}
+"""
+
+
+def test_validation_failure_report_golden(tmp_path, capsys):
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(VALIDATION_FAILURE_DOC))
+    out = tmp_path / "out.json"
+    assert run_cli("degen", str(src), "--out", str(out)) == 1
+    assert out.read_text() == VALIDATION_FAILURE_REPORT
+    assert run_cli("degen", str(src)) == 1
+    assert capsys.readouterr().out == VALIDATION_FAILURE_REPORT
+
+
+def test_degen_validates_the_input_once(tmp_path, monkeypatch):
+    calls = []
+    validate = DegenerationInput.validate
+
+    def counted(inp):
+        calls.append(inp)
+        return validate(inp)
+
+    monkeypatch.setattr(DegenerationInput, "validate", counted)
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps(builtin_scenario("theta-example-3")))
+    assert run_cli("degen", str(src), "--out", os.devnull) == 0
+    assert len(calls) == 1
+
+
+# -- flag faults and unreadable documents: exit 2 with a pointer ----------------
+
+@pytest.mark.parametrize("argv, pointer", [
+    (("resolve", "--a", "0"), "/resolve"),
+    (("resolve", "--a", "3", "--mu", "0"), "/resolve"),
+    (("blowup", "--m", "0", "--d", "1"), "/blowup"),
+    (("blowup", "--m", "1", "--d", "1", "--mu", "0"), "/blowup"),
+])
+def test_flag_fault_exit_2_with_pointer(capsys, argv, pointer):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: {pointer}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["degen", "snf"])
+@pytest.mark.parametrize("text", [
+    "[" * 200_000 + "]" * 200_000,
+    "1" * 5_001,
+], ids=["deeply-nested", "huge-integer"])
+def test_unreadable_json_exit_2_with_pointer(tmp_path, capsys, command, text):
+    src = tmp_path / "doc.json"
+    src.write_text(text)
+    assert run_cli(command, str(src)) == 2
+    assert capsys.readouterr().err.startswith("input error: /: ")

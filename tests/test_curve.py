@@ -73,7 +73,6 @@ def test_omega_node_plus_marking():
                      [Node("n", ("A", "B"))],
                      [Marking("p", "A")])
     assert omega_degree_on_component(c, "A") == 0
-    assert omega_degree_on_component(c, "A", extra_markings=False) == -1
 
 
 def test_omega_self_node_counts_twice():
@@ -97,22 +96,9 @@ def test_quasi_stability_violation_dangling():
     assert quasi_stability_check(c)["A"] == VIOLATION
 
 
-def test_quasi_stability_ample_degree_rescues():
-    c = TwistedCurve([Component("A", 0), Component("B", 2)],
-                     [Node("n", ("A", "B"))])
-    classes = quasi_stability_check(c, {"A": Fraction(2)})
-    assert classes["A"] == STABLE
-
-
 def test_quasi_stability_zero_positive_genus_violates():
     c = TwistedCurve([Component("A", 1)])
     assert quasi_stability_check(c)["A"] == VIOLATION
-
-
-def test_quasi_stability_negative_ample_rejected():
-    c = TwistedCurve([Component("A", 2)])
-    with pytest.raises(ValueError):
-        quasi_stability_check(c, {"A": -1})
 
 
 # -- torsion -------------------------------------------------------------------

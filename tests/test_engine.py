@@ -252,7 +252,7 @@ def test_degenerate_bridge():
     inserted = [r for r in out.log if r["type"] == "insert"]
     assert len(inserted) == 1 and inserted[0]["node"] == "n2"
     assert abs(Fraction(inserted[0]["inserted"][0]["degree"])) == 1
-    assert out.validation == []
+    assert validate_twisted_map(out.limit_curve, out.limit_multidegree) == []
     assert arithmetic_genus(out.limit_curve) == 5
     assert out.limit_multidegree.totals(out.limit_curve) == [Fraction(0)]
 
