@@ -58,7 +58,6 @@ from .engine import (
     contract_torsion_components,
     degenerate,
     degeneration_input_from_json,
-    insert_exceptional_chain,
 )
 from .errors import SchemaError
 from .field import (

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 for engine or validation failures, 2 for
 input errors (reported with a JSON-pointer path to the offending field).
-The polynomial degree cap for parsed inputs defaults to 64 and can be
+The polynomial degree cap for parsed inputs and built-in scenarios, which
+also caps the exponent a of ``resolve``, defaults to 64 and can be
 overridden through the STACKYDEG_MAX_DEG environment variable.
 """
 
@@ -184,7 +185,7 @@ def _cmd_degen(args) -> int:
 
 def _cmd_scenario(args) -> int:
     doc = builtin_scenario(args.name, k=args.k, d=args.d, m=args.m)
-    inp = degeneration_input_from_json(doc)
+    inp = degeneration_input_from_json(doc, max_degree=_degree_cap())
     return run(inp, args)
 
 
@@ -211,6 +212,10 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_resolve(args) -> int:
+    # a is the exponent of z^a, and the work and output grow with it
+    cap = _degree_cap()
+    if cap is not None and args.a > cap:
+        raise SchemaError("/resolve", f"a={args.a} exceeds the cap of {cap}")
     try:
         sing = AnSing(args.a, args.mu)
     except ValueError as exc:

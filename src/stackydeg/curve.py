@@ -106,75 +106,45 @@ class TwistedCurve:
         self._markings = tuple(markings)
         if not self._components:
             raise CurveError("a curve needs at least one component")
-        self._comp_ix = {}
-        self._node_ix = {}
-        _add_components(self._comp_ix, self._components)
-        _add_nodes(self._comp_ix, self._node_ix, self._nodes)
-        on = {cid: [] for cid in self._comp_ix}
+        comp_ix = self._comp_ix = {}
+        for c in self._components:
+            if c.id in comp_ix:
+                raise CurveError(f"duplicate component id {c.id!r}")
+            if c.genus < 0:
+                raise CurveError(f"component {c.id!r} has negative genus")
+            comp_ix[c.id] = c
+        node_ix = self._node_ix = {}
+        on = {cid: [] for cid in comp_ix}
+        branches = dict.fromkeys(comp_ix, 0)
         for n in self._nodes:
-            for end in set(n.ends):
-                on[end].append(n)
-        marks_on = {cid: [] for cid in self._comp_ix}
+            if n.id in node_ix:
+                raise CurveError(f"duplicate node id {n.id!r}")
+            if n.stab_order < 1:
+                raise CurveError(f"node {n.id!r} has stabilizer order < 1")
+            for end in n.ends:
+                if end not in comp_ix:
+                    raise CurveError(f"node {n.id!r} ends on unknown component {end!r}")
+                branches[end] += 1
+            node_ix[n.id] = n
+            a, b = n.ends
+            on[a].append(n)
+            if b != a:
+                on[b].append(n)
+        marks_on = {}
         seen_marks = set()
         for m in self._markings:
             if m.id in seen_marks:
                 raise CurveError(f"duplicate marking id {m.id!r}")
             if m.gerbe_order < 1:
                 raise CurveError(f"marking {m.id!r} has gerbe order < 1")
-            if m.comp not in self._comp_ix:
+            if m.comp not in comp_ix:
                 raise CurveError(f"marking {m.id!r} sits on unknown component {m.comp!r}")
             seen_marks.add(m.id)
-            marks_on[m.comp].append(m)
+            marks_on.setdefault(m.comp, []).append(m)
         self._incidence = {
-            cid: (tuple(on[cid]), sum(n.ends.count(cid) for n in on[cid]),
-                  tuple(marks_on[cid]))
-            for cid in self._comp_ix
+            cid: (tuple(on[cid]), branches[cid], tuple(marks_on.get(cid, ())))
+            for cid in comp_ix
         }
-
-    def _edit(self, drop_components=(), drop_nodes=(), components=(),
-              nodes=()) -> "TwistedCurve":
-        """A copy with some components and nodes dropped and others appended.
-
-        Appended items go last, in the order given. The parent's indexes
-        are copied and only what changed is checked, against every
-        invariant the constructor enforces.
-        """
-        comp_ix = dict(self._comp_ix)
-        node_ix = dict(self._node_ix)
-        incidence = dict(self._incidence)
-        for nid in drop_nodes:
-            node = node_ix.pop(nid, None)
-            if node is None:
-                raise CurveError(f"no node {nid!r}")
-            for end in set(node.ends):
-                inc, branches, marks = incidence[end]
-                incidence[end] = (tuple(n for n in inc if n.id != nid),
-                                  branches - node.ends.count(end), marks)
-        for cid in drop_components:
-            if comp_ix.pop(cid, None) is None:
-                raise CurveError(f"no component {cid!r}")
-            inc, _, marks = incidence.pop(cid)
-            if inc or marks:
-                raise CurveError(f"dropped component {cid!r} still carries "
-                                 f"a node or a marking")
-        if not comp_ix:
-            raise CurveError("a curve needs at least one component")
-        _add_components(comp_ix, components)
-        _add_nodes(comp_ix, node_ix, nodes)
-        for c in components:
-            incidence[c.id] = _NO_INCIDENCE
-        for n in nodes:
-            for end in set(n.ends):
-                inc, branches, marks = incidence[end]
-                incidence[end] = (inc + (n,), branches + n.ends.count(end), marks)
-        out = TwistedCurve.__new__(TwistedCurve)
-        out._components = tuple(comp_ix.values())
-        out._nodes = tuple(node_ix.values())
-        out._markings = self._markings
-        out._comp_ix = comp_ix
-        out._node_ix = node_ix
-        out._incidence = incidence
-        return out
 
     @property
     def components(self) -> tuple:
@@ -360,27 +330,6 @@ class TwistedCurve:
 _NO_INCIDENCE = ((), 0, ())
 
 
-def _add_components(comp_ix: dict, components) -> None:
-    for c in components:
-        if c.id in comp_ix:
-            raise CurveError(f"duplicate component id {c.id!r}")
-        if c.genus < 0:
-            raise CurveError(f"component {c.id!r} has negative genus")
-        comp_ix[c.id] = c
-
-
-def _add_nodes(comp_ix: dict, node_ix: dict, nodes) -> None:
-    for n in nodes:
-        if n.id in node_ix:
-            raise CurveError(f"duplicate node id {n.id!r}")
-        if n.stab_order < 1:
-            raise CurveError(f"node {n.id!r} has stabilizer order < 1")
-        for end in n.ends:
-            if end not in comp_ix:
-                raise CurveError(f"node {n.id!r} ends on unknown component {end!r}")
-        node_ix[n.id] = n
-
-
 def _expect_list(obj: dict, key: str, pointer: str) -> list:
     value = obj.get(key)
     if not isinstance(value, list):
@@ -407,66 +356,33 @@ class MultiDegree:
     """Per torus factor, an exact degree for each component.
 
     Missing entries read as zero; only nonzero entries are stored, so
-    equality is equality of the underlying degree data. Per-factor sums
-    of the stored entries are kept as running totals, which
-    :meth:`adjusted` and :meth:`without_component` update in O(1).
+    equality is equality of the underlying degree data.
     """
 
-    __slots__ = ("n_factors", "_deg", "_sums")
+    __slots__ = ("n_factors", "_deg")
 
     def __init__(self, n_factors: int, deg=None):
         if n_factors < 1:
             raise CurveError("a multidegree needs at least one factor")
         self.n_factors = n_factors
         self._deg = {}
-        sums = [Fraction(0)] * n_factors
         for (k, comp), value in (deg or {}).items():
             if not 0 <= k < n_factors:
                 raise CurveError(f"factor index {k} out of range")
             value = Fraction(value)
             if value:
                 self._deg[(k, str(comp))] = value
-                sums[k] += value
-        self._sums = tuple(sums)
-
-    def _derive(self, deg: dict, sums: tuple) -> "MultiDegree":
-        # entries and sums were checked by the constructor of an ancestor
-        out = MultiDegree.__new__(MultiDegree)
-        out.n_factors = self.n_factors
-        out._deg = deg
-        out._sums = sums
-        return out
 
     def degree(self, k: int, comp: str) -> Fraction:
         return self._deg.get((k, comp), _ZERO)
 
+    def nonzero(self) -> dict:
+        """A new dict of the nonzero degrees, keyed by (factor, component id)."""
+        return dict(self._deg)
+
     def support(self) -> set:
         """Ids of the components with a nonzero degree in some factor."""
         return {comp for _, comp in self._deg}
-
-    def running_totals(self) -> tuple:
-        """Per-factor sums of all stored degrees."""
-        return self._sums
-
-    def adjusted(self, k: int, comp: str, delta) -> "MultiDegree":
-        if not 0 <= k < self.n_factors:
-            raise CurveError(f"factor index {k} out of range")
-        delta = Fraction(delta)
-        new = dict(self._deg)
-        value = self.degree(k, comp) + delta
-        if value:
-            new[(k, comp)] = value
-        else:
-            new.pop((k, comp), None)
-        sums = self._sums[:k] + (self._sums[k] + delta,) + self._sums[k + 1:]
-        return self._derive(new, sums)
-
-    def without_component(self, comp: str) -> "MultiDegree":
-        new = dict(self._deg)
-        sums = list(self._sums)
-        for k in range(self.n_factors):
-            sums[k] -= new.pop((k, comp), 0)
-        return self._derive(new, tuple(sums))
 
     def totals(self, curve: TwistedCurve) -> list:
         return [

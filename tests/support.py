@@ -250,3 +250,27 @@ def random_big_graph_input(rng: random.Random) -> dict:
         "gluing": gluing,
         "extra_mu": extra_mu,
     }
+
+
+def random_tree_input(rng: random.Random, bodies: int) -> dict:
+    """A single-factor pipeline input on a random tree of genus-2 bodies.
+
+    Every edge is persistent and glued by t^m with m in [1, 3], so each
+    one inserts a rational component; degrees are integers in [-3, 3].
+    """
+    ids = [f"b{i}" for i in range(bodies)]
+    nodes, gluing = [], {}
+    for i in range(1, bodies):
+        nid = f"e{i}"
+        nodes.append({"id": nid, "ends": [ids[rng.randrange(i)], ids[i]],
+                      "stab": 1, "persistent": True})
+        gluing[nid] = _matrix_doc(Mat([[t_power(rng.randint(1, 3))]]))
+    return {
+        "components": [{"id": b, "genus": 2} for b in ids],
+        "nodes": nodes,
+        "markings": [],
+        "multidegree": {"factors": 1,
+                        "deg": [{b: str(rng.randint(-3, 3)) for b in ids}]},
+        "grading": {"d": [1]},
+        "gluing": gluing,
+    }

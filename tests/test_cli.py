@@ -441,6 +441,7 @@ def test_degen_validates_the_input_once(tmp_path, monkeypatch):
     (("resolve", "--a", "3", "--mu", "0"), "/resolve"),
     (("blowup", "--m", "0", "--d", "1"), "/blowup"),
     (("blowup", "--m", "1", "--d", "1", "--mu", "0"), "/blowup"),
+    (("resolve", "--a", "65"), "/resolve"),
 ])
 def test_flag_fault_exit_2_with_pointer(capsys, argv, pointer):
     assert run_cli(*argv) == 2
@@ -459,3 +460,26 @@ def test_unreadable_json_exit_2_with_pointer(tmp_path, capsys, command, text):
     src.write_text(text)
     assert run_cli(command, str(src)) == 2
     assert capsys.readouterr().err.startswith("input error: /: ")
+
+
+# -- the degree cap on built-in scenarios and on resolve --------------------------
+
+def test_scenario_degree_cap(capsys, monkeypatch):
+    assert run_cli("scenario", "theta-example-2", "--m", "65") == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: /gluing/n1/entries/0/0: ")
+    assert run_cli("scenario", "theta-example-2", "--m", "64", "--out", os.devnull) == 0
+    # theta-example-3 glues n1 by t^(m+1)
+    assert run_cli("scenario", "theta-example-3", "--m", "64") == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: /gluing/n1/entries/0/0: ")
+    monkeypatch.setenv("STACKYDEG_MAX_DEG", "0")
+    assert run_cli("scenario", "theta-example-2", "--m", "65", "--out", os.devnull) == 0
+
+
+def test_resolve_degree_cap(capsys, monkeypatch):
+    assert run_cli("resolve", "--a", "64") == 0
+    assert json.loads(capsys.readouterr().out)["a"] == 64
+    monkeypatch.setenv("STACKYDEG_MAX_DEG", "0")
+    assert run_cli("resolve", "--a", "65") == 0
+    assert json.loads(capsys.readouterr().out)["a"] == 65

@@ -153,100 +153,41 @@ def test_denominator_invariant():
 # -- structure checks ------------------------------------------------------------
 
 def test_duplicate_ids_rejected():
-    with pytest.raises(CurveError):
+    with pytest.raises(CurveError, match="duplicate component id 'A'"):
         TwistedCurve([Component("A", 0), Component("A", 1)])
-    with pytest.raises(CurveError):
+    with pytest.raises(CurveError, match="duplicate node id 'n'"):
         TwistedCurve([Component("A", 0)],
                      [Node("n", ("A", "A")), Node("n", ("A", "A"))])
+    with pytest.raises(CurveError, match="duplicate marking id 'p'"):
+        TwistedCurve([Component("A", 0)], [],
+                     [Marking("p", "A"), Marking("p", "A")])
 
 
 def test_unknown_endpoint_rejected():
-    with pytest.raises(CurveError):
+    with pytest.raises(CurveError, match="ends on unknown component 'B'"):
         TwistedCurve([Component("A", 0)], [Node("n", ("A", "B"))])
+    # a component left out while a node or a marking still names it
+    with pytest.raises(CurveError, match="ends on unknown component 'X'"):
+        TwistedCurve([Component("A", 2), Component("B", 2)],
+                     [Node("u", ("A", "X")), Node("w", ("A", "B"))])
+    with pytest.raises(CurveError, match="sits on unknown component 'X'"):
+        TwistedCurve([Component("A", 2)], [], [Marking("p", "X")])
 
 
-# -- the private edit path ---------------------------------------------------------
-
-def edit_base():
-    return TwistedCurve(
-        [Component("A", 2), Component("X", 0), Component("B", 2)],
-        [Node("u", ("A", "X")), Node("v", ("X", "B")), Node("w", ("A", "B"))],
-        [Marking("p", "A")],
-    )
-
-
-def test_edit_matches_constructor():
-    c = edit_base()
-    e = c._edit(drop_components=("X",), drop_nodes=("u", "v"),
-                components=[Component("Y", 1)],
-                nodes=[Node("z", ("A", "Y")), Node("s", ("Y", "Y"), 2)])
-    rebuilt = TwistedCurve(e.components, e.nodes, e.markings)
-    assert e == rebuilt
-    assert [n.id for n in e.nodes] == ["w", "z", "s"]
-    assert [x.id for x in e.components] == ["A", "B", "Y"]
-    for comp in ("A", "B", "Y", "X"):
-        assert e.nodes_on(comp) == rebuilt.nodes_on(comp)
-        assert e.branch_count(comp) == rebuilt.branch_count(comp)
-        assert e.markings_on(comp) == rebuilt.markings_on(comp)
-    assert e.branch_count("Y") == 3 and not e.has_component("X")
-
-
-def test_edit_rejects_duplicate_appended_ids():
-    c = edit_base()
-    with pytest.raises(CurveError, match="duplicate component id 'A'"):
-        c._edit(components=[Component("A", 1)])
-    with pytest.raises(CurveError, match="duplicate component id 'Y'"):
-        c._edit(components=[Component("Y", 1), Component("Y", 1)])
-    with pytest.raises(CurveError, match="duplicate node id 'w'"):
-        c._edit(nodes=[Node("w", ("A", "B"))])
-    # a dropped id may be reused, as in the constructor
-    assert c._edit(drop_nodes=("w",), nodes=[Node("w", ("A", "A"))]).has_node("w")
-
-
-def test_edit_rejects_unknown_node_end():
-    c = edit_base()
-    with pytest.raises(CurveError, match="unknown component 'Q'"):
-        c._edit(nodes=[Node("z", ("A", "Q"))])
-    with pytest.raises(CurveError, match="unknown component 'X'"):
-        c._edit(drop_components=("X",), drop_nodes=("u", "v"),
-                nodes=[Node("z", ("A", "X"))])
-
-
-def test_edit_rejects_dropped_component_with_node_or_marking():
-    c = edit_base()
-    with pytest.raises(CurveError, match="'X' still carries"):
-        c._edit(drop_components=("X",), drop_nodes=("u",))
-    with pytest.raises(CurveError, match="'A' still carries"):
-        c._edit(drop_components=("A",), drop_nodes=("u", "w"))
-
-
-def test_edit_rejects_other_invalid_changes():
-    c = edit_base()
-    with pytest.raises(CurveError, match="stabilizer order"):
-        c._edit(nodes=[Node("z", ("A", "B"), 0)])
-    with pytest.raises(CurveError, match="negative genus"):
-        c._edit(components=[Component("Y", -1)])
-    with pytest.raises(CurveError, match="no node"):
-        c._edit(drop_nodes=("zz",))
-    with pytest.raises(CurveError, match="no component"):
-        c._edit(drop_components=("zz",))
-    lone = TwistedCurve([Component("A", 2)])
+def test_invalid_parts_rejected():
     with pytest.raises(CurveError, match="at least one component"):
-        lone._edit(drop_components=("A",))
-
-
-def test_multidegree_running_totals():
-    md = MultiDegree(2, {(0, "A"): 1, (1, "A"): Fraction(1, 2), (1, "B"): 2})
-    assert md.running_totals() == (1, Fraction(5, 2))
-    md2 = md.adjusted(1, "C", Fraction(-1, 3)).adjusted(0, "A", -1)
-    assert md2.running_totals() == (0, Fraction(13, 6))
-    assert md2 == MultiDegree(2, {(1, "A"): Fraction(1, 2), (1, "B"): 2,
-                                  (1, "C"): Fraction(-1, 3)})
-    md3 = md2.without_component("A")
-    assert md3.running_totals() == (0, Fraction(5, 3))
-    assert md3.support() == {"B", "C"}
-    with pytest.raises(CurveError, match="out of range"):
-        md.adjusted(2, "A", 1)
+        TwistedCurve([])
+    with pytest.raises(CurveError, match="negative genus"):
+        TwistedCurve([Component("A", 2), Component("Y", -1)])
+    with pytest.raises(CurveError, match="stabilizer order"):
+        TwistedCurve([Component("A", 2), Component("B", 2)],
+                     [Node("z", ("A", "B"), 0)])
+    with pytest.raises(CurveError, match="gerbe order"):
+        TwistedCurve([Component("A", 2)], [], [Marking("p", "A", 0)])
+    with pytest.raises(CurveError, match="factor index 2 out of range"):
+        MultiDegree(2, {(2, "A"): 1})
+    with pytest.raises(CurveError, match="at least one factor"):
+        MultiDegree(0)
 
 
 def test_global_omega_identity_random():

@@ -20,12 +20,12 @@ from stackydeg import (
     contract_torsion_components,
     degenerate,
     degeneration_input_from_json,
-    insert_exceptional_chain,
     parse_ratfunc,
     smith_normal_form,
     validate_twisted_map,
 )
 from stackydeg.cli import builtin_scenario
+from stackydeg.engine import _WorkingState, insert_exceptional_chain
 from support import graph_signature, random_engine_input, random_gluing
 
 rf = parse_ratfunc
@@ -98,11 +98,19 @@ def test_normalize_negative_repaired_in_steps():
 
 # -- insert_exceptional_chain -------------------------------------------------------
 
+def insert(curve, md, node_id, params, extra_mu=None):
+    """One insertion on a working state of (curve, md); returns the state
+    frozen afterwards and the chain description."""
+    state = _WorkingState(curve, md)
+    info = insert_exceptional_chain(state, node_id, params, extra_mu)
+    return state.freeze(), MultiDegree(state.n_factors, state.deg), info
+
+
 def test_insert_theta_variant():
     c = TwistedCurve([Component("C", 2)],
                      [Node("n1", ("C", "C"), stab_order=2, persistent=True)])
     md = MultiDegree(1, {(0, "C"): 1})
-    c2, md2, info = insert_exceptional_chain(c, md, "n1", [(1, 2)], extra_mu=2)
+    c2, md2, info = insert(c, md, "n1", [(1, 2)], extra_mu=2)
     assert len(info["inserted"]) == 1
     e_id = info["inserted"][0]["component"]
     assert md2.degree(0, e_id) == Fraction(1, 4)
@@ -116,7 +124,7 @@ def test_insert_schematic():
     c = TwistedCurve([Component("A", 2), Component("B", 2)],
                      [Node("n", ("A", "B"), persistent=True)])
     md = MultiDegree(1)
-    c2, md2, info = insert_exceptional_chain(c, md, "n", [(1, 1)])
+    c2, md2, info = insert(c, md, "n", [(1, 1)])
     e_id = info["inserted"][0]["component"]
     assert md2.degree(0, e_id) == 1
     assert md2.degree(0, "B") == -1      # the blown-up branch pays
@@ -128,15 +136,15 @@ def test_insert_noop_when_all_zero():
     c = TwistedCurve([Component("A", 2), Component("B", 2)],
                      [Node("n", ("A", "B"), persistent=True)])
     md = MultiDegree(1)
-    c2, md2, info = insert_exceptional_chain(c, md, "n", [(0, 3)])
-    assert info is None and c2 is c and md2 is md
+    c2, md2, info = insert(c, md, "n", [(0, 3)])
+    assert info is None and c2 == c and md2 == md
 
 
 def test_insert_multi_factor_chain_order():
     c = TwistedCurve([Component("A", 2), Component("B", 2)],
                      [Node("n", ("A", "B"), persistent=True)])
     md = MultiDegree(2)
-    c2, md2, info = insert_exceptional_chain(c, md, "n", [(1, 2), (3, 3)])
+    c2, md2, info = insert(c, md, "n", [(1, 2), (3, 3)])
     assert [rec["factor"] for rec in info["inserted"]] == [1, 2]
     e1, e2 = (rec["component"] for rec in info["inserted"])
     # chain walks away from the blown-up branch B: B - e1 - e2 - A
@@ -154,13 +162,13 @@ def test_insert_non_persistent_rejected():
     c = TwistedCurve([Component("A", 2), Component("B", 2)],
                      [Node("n", ("A", "B"), persistent=False)])
     with pytest.raises(EngineError):
-        insert_exceptional_chain(c, MultiDegree(1), "n", [(1, 1)])
+        insert(c, MultiDegree(1), "n", [(1, 1)])
 
 
 def test_insert_records_smoothing_singularity():
     c = TwistedCurve([Component("A", 2), Component("B", 2)],
                      [Node("n", ("A", "B"), persistent=True)])
-    _, _, info = insert_exceptional_chain(c, MultiDegree(1), "n", [(4, 3)])
+    _, _, info = insert(c, MultiDegree(1), "n", [(4, 3)])
     q = info["inserted"][0]["smoothing_node"]
     assert q["stab"] == 3 and q["sing"] == {"a": 4, "mu": 3}
 
@@ -232,10 +240,11 @@ def test_insert_then_contract_recovers_graph():
                      [Node("n", ("A", "B"), persistent=True),
                       Node("m", ("A", "B"), persistent=False)])
     md = MultiDegree(1, {(0, "A"): 1})
-    c2, md2, info = insert_exceptional_chain(c, md, "n", [(3, 1)])
-    e_id = info["inserted"][0]["component"]
-    md3 = md2.adjusted(0, e_id, -1).adjusted(0, "B", 1)
-    c3, md4, records = contract_torsion_components(c2, md3)
+    c2, md2, info = insert(c, md, "n", [(3, 1)])
+    assert md2 == MultiDegree(1, {(0, "A"): 1, (0, "B"): -1,
+                                  (0, info["inserted"][0]["component"]): 1})
+    # give the inserted degree back to B: the inserted component is torsion
+    c3, _, records = contract_torsion_components(c2, MultiDegree(1, {(0, "A"): 1}))
     assert len(records) == 1
     assert graph_signature(c3) == graph_signature(c)
     assert arithmetic_genus(c3) == arithmetic_genus(c)

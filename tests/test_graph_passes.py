@@ -1,13 +1,15 @@
 """The graph passes at scale, against naive references.
 
-Curves made by the engine come from the private edit path, which copies
-its parent's indexes and checks only what changed; these tests compare
-it with the validating constructor, the incidence lookups with full
-scans, the one-pass contraction with a restart-from-the-first-component
-reference, and every logged total with a from-scratch sum.
+The engine edits one working state in place, with no checks of its own;
+these tests compare its incidence after every insertion with a full scan
+of its nodes and freeze it through the validating constructor, compare
+the curve's incidence lookups with full scans, the one-pass contraction
+with a restart-from-the-first-component reference, and every logged
+total with a from-scratch sum.
 """
 
 import random
+import timeit
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,7 @@ from stackydeg import (
     degeneration_input_from_json,
 )
 from stackydeg import engine
-from support import random_big_graph_input
+from support import random_big_graph_input, random_tree_input
 
 CORPUS_SEEDS = range(8)
 
@@ -95,25 +97,45 @@ def restart_contract(curve, md):
         })
 
 
+def state_totals(state):
+    """Per-factor sums of a working state's degrees, from scratch."""
+    return [sum((state.deg.get((k, cid), Fraction(0)) for cid in state.components),
+                Fraction(0)) for k in range(state.n_factors)]
+
+
+def check_state(state):
+    """Compare a working state's incidence with a naive scan of its nodes,
+    freeze it, and compare the frozen curve with the state."""
+    naive = {cid: [n.id for n in state.nodes.values() if cid in n.ends]
+             for cid in state.components}
+    incidence = {cid: list(on) for cid, on in state.on.items()}
+    curve, md = state.freeze(), MultiDegree(state.n_factors, state.deg)
+    return {
+        "incidence_matches_scan": incidence == naive,
+        "frozen_in_order": ([c.id for c in curve.components] == list(state.components)
+                            and [n.id for n in curve.nodes] == list(state.nodes)),
+        "frozen_incidence_matches": all(
+            [n.id for n in curve.nodes_on(cid)] == ids for cid, ids in incidence.items()),
+        "degrees_nonzero": all(state.deg.values()),
+        "frozen_degrees_match": all(md.degree(k, cid) == value
+                                    for (k, cid), value in state.deg.items()),
+    }
+
+
 @pytest.fixture(scope="module")
 def traced_corpus():
-    """Run the pipeline on the large-graph corpus, keeping every curve the
-    edit path made, every insertion result and every call into the
+    """Run the pipeline on the large-graph corpus, checking the working
+    state after every insertion and keeping every call into the
     contraction pass."""
-    edited, inserted, contract_calls, runs = [], [], [], []
-    edit = TwistedCurve._edit
+    inserted, contract_calls, runs = [], [], []
     insert = engine.insert_exceptional_chain
     contract = engine.contract_torsion_components
 
-    def recording_edit(curve, *args, **kwargs):
-        out = edit(curve, *args, **kwargs)
-        edited.append(out)
-        return out
-
-    def recording_insert(*args):
-        out = insert(*args)
-        inserted.append(out)
-        return out
+    def recording_insert(state, *args):
+        before = state_totals(state)
+        info = insert(state, *args)
+        inserted.append((check_state(state), before, state_totals(state), info))
+        return info
 
     def recording_contract(curve, md):
         out = contract(curve, md)
@@ -121,17 +143,16 @@ def traced_corpus():
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(TwistedCurve, "_edit", recording_edit)
         mp.setattr(engine, "insert_exceptional_chain", recording_insert)
         mp.setattr(engine, "contract_torsion_components", recording_contract)
         for seed in CORPUS_SEEDS:
             inp = degeneration_input_from_json(random_big_graph_input(random.Random(seed)))
             runs.append((inp, degenerate(inp)))
-    return edited, inserted, contract_calls, runs
+    return inserted, contract_calls, runs
 
 
 def test_corpus_is_large_and_contracts(traced_corpus):
-    _, _, contract_calls, runs = traced_corpus
+    _, contract_calls, runs = traced_corpus
     assert all(len(inp.curve.components) >= 60 for inp, _ in runs)
     assert sum(len(records) for _, (_, _, records) in contract_calls) >= len(runs)
 
@@ -146,20 +167,14 @@ def test_incidence_lookups_match_naive_scans(traced_corpus):
 
 
 def test_edited_curves_match_validating_constructor(traced_corpus):
-    edited = traced_corpus[0]
-    assert len(edited) > 100
-    for curve in edited:
-        rebuilt = TwistedCurve(curve.components, curve.nodes, curve.markings)
-        assert curve == rebuilt
-        for comp in curve.components:
-            assert indexed_incidence(curve, comp.id) == indexed_incidence(rebuilt, comp.id)
-            assert curve.component(comp.id) is comp
-        for node in curve.nodes:
-            assert curve.node(node.id) is node
+    inserted = traced_corpus[0]
+    assert sum(info is not None for *_, info in inserted) > 100
+    for checks, *_ in inserted:
+        assert all(checks.values()), checks
 
 
 def test_contraction_matches_restart_reference(traced_corpus):
-    contract_calls = traced_corpus[2]
+    contract_calls = traced_corpus[1]
     for (curve, md), out in contract_calls:
         assert out == restart_contract(curve, md)
 
@@ -170,17 +185,14 @@ def test_log_totals_match_from_scratch_sums(traced_corpus):
         expected = [str(x) for x in inp.multidegree.totals(inp.curve)]
         assert out.log
         assert all(record["totals"] == expected for record in out.log)
-        assert out.limit_multidegree.running_totals() == tuple(
-            out.limit_multidegree.totals(out.limit_curve))
+        assert out.limit_multidegree.totals(out.limit_curve) == inp.multidegree.totals(
+            inp.curve)
 
 
 def test_insert_totals_match_from_scratch_sums(traced_corpus):
-    inserted = traced_corpus[1]
-    assert sum(info is not None for _, _, info in inserted) > 100
-    for curve, md, info in inserted:
-        assert md.running_totals() == tuple(md.totals(curve))
-        if info is not None:
-            assert info["totals"] == [str(x) for x in md.totals(curve)]
+    inserted = traced_corpus[0]
+    for _, before, after, _ in inserted:
+        assert after == before
 
 
 def random_contraction_curve(rng: random.Random):
@@ -257,3 +269,19 @@ def test_contraction_matches_restart_reference_on_strings_and_loops():
         again = engine.contract_torsion_components(got[0], got[1])
         assert again[2] == [] and again[0] == got[0]
     assert merges > 1000 and self_merges > 100 and errors > 20
+
+
+def test_degenerate_scales_near_linearly_on_trees():
+    """4x the bodies costs at most 8x the time, taking the best of 3
+    interleaved runs per size with the collector off, as timeit does.
+    Copying the graph on every edit cost 11-13x."""
+    inputs = {n: degeneration_input_from_json(random_tree_input(random.Random(0), n))
+              for n in (1000, 4000)}
+    assert len(degenerate(inputs[4000]).limit_curve.components) == 2 * 4000 - 1
+    best = {}
+    for _ in range(3):
+        for n, inp in inputs.items():
+            t = timeit.timeit(lambda: degenerate(inp), number=1)
+            best[n] = min(best.get(n, t), t)
+    ratio = best[4000] / best[1000]
+    assert ratio <= 8, f"4,000 bodies took {ratio:.1f}x the time of 1,000"
