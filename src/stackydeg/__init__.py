@@ -37,7 +37,7 @@ from .curve import (
     Violation,
     arithmetic_genus,
     is_torsion_on_component,
-    omega_degree_on_component,
+    omega_degrees,
     quasi_stability_check,
     validate_twisted_map,
 )

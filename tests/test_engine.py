@@ -115,7 +115,7 @@ def test_insert_theta_variant():
     e_id = info["inserted"][0]["component"]
     assert md2.degree(0, e_id) == Fraction(1, 4)
     assert md2.degree(0, "C") == Fraction(3, 4)
-    orders = sorted(n.stab_order for n in c2.nodes_on(e_id))
+    orders = sorted(n.stab_order for n in c2.nodes if e_id in n.ends)
     assert orders == [2, 4]
     assert arithmetic_genus(c2) == arithmetic_genus(c)
 
@@ -128,7 +128,7 @@ def test_insert_schematic():
     e_id = info["inserted"][0]["component"]
     assert md2.degree(0, e_id) == 1
     assert md2.degree(0, "B") == -1      # the blown-up branch pays
-    assert all(n.stab_order == 1 for n in c2.nodes_on(e_id))
+    assert all(n.stab_order == 1 for n in c2.nodes if e_id in n.ends)
     assert md2.totals(c2) == md.totals(c)
 
 
@@ -154,7 +154,7 @@ def test_insert_multi_factor_chain_order():
     assert md2.degree(1, e1) == Fraction(-1, 3)
     assert md2.degree(1, e2) == Fraction(1, 3)
     assert md2.degree(0, "B") == Fraction(-1, 2)
-    assert md2.denominator_violations(c2) == []
+    assert validate_twisted_map(c2, md2) == []
     assert arithmetic_genus(c2) == 4
 
 
@@ -397,6 +397,20 @@ def test_degenerate_normalization_collapses_double_insertion():
     assert len(contracts) == 1
 
 
+def test_degenerate_rejects_degree_below_local_order_bound():
+    # a degree 1/3 next to an order-4 node, on a disconnected curve: the
+    # graph conditions come first, then the denominators
+    c = TwistedCurve([Component("A", 2), Component("B", 2)],
+                     [Node("n", ("A", "A"), stab_order=4)])
+    inp = DegenerationInput(c, MultiDegree(1, {(0, "A"): Fraction(1, 3)}),
+                            GradingSpec(d=(1,)))
+    with pytest.raises(EngineError) as exc:
+        degenerate(inp)
+    assert str(exc.value) == (
+        "input is not a twisted map: the dual graph is not connected; "
+        "factor 0: degree 1/3 does not clear the local order bound 4")
+
+
 def test_degenerate_random_inputs_conserve_everything():
     rng = random.Random(99)
     for _ in range(30):
@@ -409,7 +423,6 @@ def test_degenerate_random_inputs_conserve_everything():
         for record in out.log:
             assert record["totals"] == [str(x) for x in totals]
         assert validate_twisted_map(out.limit_curve, out.limit_multidegree) == []
-        assert out.limit_multidegree.denominator_violations(out.limit_curve) == []
         # contraction is idempotent on the emitted curve
         c2, _, records = contract_torsion_components(
             out.limit_curve, out.limit_multidegree)

@@ -3,9 +3,8 @@
 The engine edits one working state in place, with no checks of its own;
 these tests compare its incidence after every insertion with a full scan
 of its nodes and freeze it through the validating constructor, compare
-the curve's incidence lookups with full scans, the one-pass contraction
-with a restart-from-the-first-component reference, and every logged
-total with a from-scratch sum.
+the one-pass contraction with a restart-from-the-first-component
+reference, and every logged total with a from-scratch sum.
 """
 
 import random
@@ -40,16 +39,10 @@ def naive_incidence(curve, comp_id):
     )
 
 
-def indexed_incidence(curve, comp_id):
-    return (curve.nodes_on(comp_id), curve.branch_count(comp_id),
-            curve.markings_on(comp_id))
-
-
 def restart_contract(curve, md):
     """Contract torsion rational two-noded components one at a time,
     restarting from the first component after every merge; every curve
-    goes through the validating constructor and every total is summed
-    from scratch."""
+    goes through the validating constructor."""
     records = []
     while True:
         for comp in curve.components:
@@ -93,7 +86,6 @@ def restart_contract(curve, md):
             ],
             "merged_node": {"id": w_id, "stab": k, "ends": [other_u, other_v],
                             "sing": merged.to_json_dict()},
-            "totals": [str(x) for x in md.totals(curve)],
         })
 
 
@@ -115,7 +107,8 @@ def check_state(state):
         "frozen_in_order": ([c.id for c in curve.components] == list(state.components)
                             and [n.id for n in curve.nodes] == list(state.nodes)),
         "frozen_incidence_matches": all(
-            [n.id for n in curve.nodes_on(cid)] == ids for cid, ids in incidence.items()),
+            [n.id for n in curve.nodes if cid in n.ends] == ids
+            for cid, ids in incidence.items()),
         "degrees_nonzero": all(state.deg.values()),
         "frozen_degrees_match": all(md.degree(k, cid) == value
                                     for (k, cid), value in state.deg.items()),
@@ -138,8 +131,9 @@ def traced_corpus():
         return info
 
     def recording_contract(curve, md):
-        out = contract(curve, md)
-        contract_calls.append(((curve, md), out))
+        curve2, md2, records = out = contract(curve, md)
+        # keep the records as returned: degenerate adds their totals later
+        contract_calls.append(((curve, md), (curve2, md2, [dict(r) for r in records])))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -155,15 +149,6 @@ def test_corpus_is_large_and_contracts(traced_corpus):
     _, contract_calls, runs = traced_corpus
     assert all(len(inp.curve.components) >= 60 for inp, _ in runs)
     assert sum(len(records) for _, (_, _, records) in contract_calls) >= len(runs)
-
-
-def test_incidence_lookups_match_naive_scans(traced_corpus):
-    *_, runs = traced_corpus
-    for inp, out in runs:
-        for curve in (inp.curve, out.limit_curve):
-            for comp in curve.components:
-                assert indexed_incidence(curve, comp.id) == naive_incidence(curve, comp.id)
-            assert indexed_incidence(curve, "no-such-component") == ((), 0, ())
 
 
 def test_edited_curves_match_validating_constructor(traced_corpus):
