@@ -24,9 +24,6 @@ from .blowup import (
     twisted_blowup,
 )
 from .curve import (
-    DESTABILIZING_P1,
-    STABLE,
-    VIOLATION,
     Component,
     CurveError,
     GradingSpec,
@@ -37,8 +34,6 @@ from .curve import (
     Violation,
     arithmetic_genus,
     is_torsion_on_component,
-    omega_degrees,
-    quasi_stability_check,
     validate_twisted_map,
 )
 from .dvrlinalg import (

@@ -25,25 +25,20 @@ __all__ = [
     "GradingSpec",
     "Violation",
     "CurveError",
-    "STABLE",
-    "DESTABILIZING_P1",
-    "VIOLATION",
     "TORSION_CRITERION_NOTE",
     "arithmetic_genus",
-    "omega_degrees",
-    "quasi_stability_check",
     "is_torsion_on_component",
     "validate_twisted_map",
 ]
 
 
 class CurveError(ValueError):
-    """A curve description is structurally invalid."""
+    """A curve description is invalid; ``pointer`` locates the item at fault."""
 
+    def __init__(self, message: str, pointer: str = ""):
+        super().__init__(message)
+        self.pointer = pointer
 
-STABLE = "STABLE"
-DESTABILIZING_P1 = "DESTABILIZING_P1"
-VIOLATION = "VIOLATION"
 
 #: The torsion test below is applied factor by factor; this note is
 #: attached to every emitted validation report.
@@ -99,32 +94,34 @@ class TwistedCurve:
         self._nodes = tuple(nodes)
         self._markings = tuple(markings)
         if not self._components:
-            raise CurveError("a curve needs at least one component")
+            raise CurveError("a curve needs at least one component", "/components")
         comp_ix = self._comp_ix = {}
-        for c in self._components:
+        for i, c in enumerate(self._components):
             if c.id in comp_ix:
-                raise CurveError(f"duplicate component id {c.id!r}")
+                raise CurveError(f"duplicate component id {c.id!r}", f"/components/{i}/id")
             if c.genus < 0:
                 raise CurveError(f"component {c.id!r} has negative genus")
             comp_ix[c.id] = c
         node_ix = self._node_ix = {}
-        for n in self._nodes:
+        for i, n in enumerate(self._nodes):
             if n.id in node_ix:
-                raise CurveError(f"duplicate node id {n.id!r}")
+                raise CurveError(f"duplicate node id {n.id!r}", f"/nodes/{i}/id")
             if n.stab_order < 1:
                 raise CurveError(f"node {n.id!r} has stabilizer order < 1")
             for end in n.ends:
                 if end not in comp_ix:
-                    raise CurveError(f"node {n.id!r} ends on unknown component {end!r}")
+                    raise CurveError(f"node {n.id!r} ends on unknown component {end!r}",
+                                     f"/nodes/{i}/ends")
             node_ix[n.id] = n
         seen_marks = set()
-        for m in self._markings:
+        for i, m in enumerate(self._markings):
             if m.id in seen_marks:
-                raise CurveError(f"duplicate marking id {m.id!r}")
+                raise CurveError(f"duplicate marking id {m.id!r}", f"/markings/{i}/id")
             if m.gerbe_order < 1:
                 raise CurveError(f"marking {m.id!r} has gerbe order < 1")
             if m.comp not in comp_ix:
-                raise CurveError(f"marking {m.id!r} sits on unknown component {m.comp!r}")
+                raise CurveError(f"marking {m.id!r} sits on unknown component {m.comp!r}",
+                                 f"/markings/{i}/comp")
             seen_marks.add(m.id)
 
     @property
@@ -150,25 +147,6 @@ class TwistedCurve:
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self._node_ix
-
-    def is_connected(self) -> bool:
-        ids = set(self._comp_ix)
-        reached = {self._components[0].id}
-        frontier = [self._components[0].id]
-        adjacency = {cid: set() for cid in ids}
-        for n in self._nodes:
-            adjacency[n.ends[0]].add(n.ends[1])
-            adjacency[n.ends[1]].add(n.ends[0])
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adjacency[cur]:
-                if nxt not in reached:
-                    reached.add(nxt)
-                    frontier.append(nxt)
-        return reached == ids
-
-    def first_betti(self) -> int:
-        return len(self._nodes) - len(self._components) + 1
 
     def __eq__(self, other):
         if not isinstance(other, TwistedCurve):
@@ -265,7 +243,7 @@ class TwistedCurve:
         try:
             return cls(components, nodes, markings)
         except CurveError as exc:
-            raise SchemaError(pointer, str(exc))
+            raise SchemaError(pointer + exc.pointer, str(exc))
 
     def to_dot(self, multidegree: "MultiDegree | None" = None) -> str:
         lines = ["graph curve {"]
@@ -316,6 +294,10 @@ def _expect_id(obj: dict, key: str, pointer: str) -> str:
 
 # what a missing entry reads as; Fraction is immutable, so one will do
 _ZERO = Fraction(0)
+
+# Fraction also reads "1.5", " 1/2 ", "1e5000" and "1_000"; held to these
+# characters, it reads exactly [+-]?[0-9]+(/[0-9]+)?, the form degrees print in
+_DEGREE_CHARS = frozenset("0123456789+-/")
 
 
 class MultiDegree:
@@ -394,7 +376,8 @@ class MultiDegree:
             for comp, value in row.items():
                 try:
                     # a float is not exact, and a bool is not a number
-                    if not (is_int(value) or isinstance(value, str)):
+                    if not (is_int(value) or (isinstance(value, str)
+                                              and _DEGREE_CHARS.issuperset(value))):
                         raise TypeError(value)
                     deg[(k, str(comp))] = Fraction(value)
                 except (ValueError, ZeroDivisionError, TypeError):
@@ -484,39 +467,9 @@ class GradingSpec:
 
 
 def arithmetic_genus(curve: TwistedCurve) -> int:
-    """Sum of component genera plus the first Betti number of the graph."""
-    if not curve.is_connected():
-        raise CurveError("arithmetic genus of a disconnected curve")
-    return sum(c.genus for c in curve.components) + curve.first_betti()
-
-
-def omega_degrees(curve: TwistedCurve) -> dict:
-    """Coarse degree of the marked dualizing sheaf on each component:
-    2g - 2, plus one per node branch (a self-node counts twice) and one
-    per marking."""
-    out = {c.id: 2 * c.genus - 2 for c in curve.components}
-    for n in curve.nodes:
-        for end in n.ends:
-            out[end] += 1
-    for m in curve.markings:
-        out[m.comp] += 1
-    return out
-
-
-def quasi_stability_check(curve: TwistedCurve) -> dict:
-    """Classify each component as STABLE, DESTABILIZING_P1 or VIOLATION
-    by the degree of the marked dualizing sheaf on it."""
-    out = {}
-    omega = omega_degrees(curve)
-    for c in curve.components:
-        total = omega[c.id]
-        if total > 0:
-            out[c.id] = STABLE
-        elif total == 0 and c.genus == 0:
-            out[c.id] = DESTABILIZING_P1
-        else:
-            out[c.id] = VIOLATION
-    return out
+    """1 - χ(O_C) = Σ genus + #nodes - #components + 1, connected or not."""
+    comps = curve.components
+    return sum(c.genus for c in comps) + len(curve.nodes) - len(comps) + 1
 
 
 def is_torsion_on_component(md: MultiDegree, comp_id: str) -> bool:
@@ -529,42 +482,54 @@ def is_torsion_on_component(md: MultiDegree, comp_id: str) -> bool:
 
 
 def validate_twisted_map(curve: TwistedCurve, md: MultiDegree) -> list:
-    """All obstructions to the pair (curve, degrees) being a twisted map.
-
-    Checks connectivity, quasi-stability of every component, that no
-    destabilizing component is torsion, and that every degree clears the
-    local stacky orders: on each component, its denominator divides the
-    lcm of the orders of the component's nodes and markings.
+    """All obstructions to the pair (curve, degrees) being a twisted map:
+    a disconnected dual graph, a component neither stable nor a
+    destabilizing rational curve, a torsion destabilizing component, and a
+    degree whose denominator does not divide the lcm of the orders of the
+    nodes and markings on its component. One walk over the nodes and one
+    over the markings collect each component's lcm, neighbours and marked
+    dualizing degree (2g - 2, plus one per branch and one per marking).
     """
+    omega = {c.id: 2 * c.genus - 2 for c in curve.components}
+    bounds = dict.fromkeys(omega, 1)
+    adjacent = {cid: [] for cid in omega}
+    for n in curve.nodes:
+        adjacent[n.ends[0]].append(n.ends[1])
+        adjacent[n.ends[1]].append(n.ends[0])
+        for end in n.ends:
+            omega[end] += 1
+            bounds[end] = lcm(bounds[end], n.stab_order)
+    for m in curve.markings:
+        omega[m.comp] += 1
+        bounds[m.comp] = lcm(bounds[m.comp], m.gerbe_order)
+    frontier = [curve.components[0].id]
+    reached = set(frontier)
+    while frontier:
+        for nxt in adjacent[frontier.pop()]:
+            if nxt not in reached:
+                reached.add(nxt)
+                frontier.append(nxt)
     violations = []
-    if not curve.is_connected():
+    if len(reached) < len(omega):
         violations.append(Violation(
             "cond1-disconnected", None, "the dual graph is not connected"))
-    classes = quasi_stability_check(curve)
+    denominators = []
     for c in curve.components:
-        label = classes[c.id]
-        if label == VIOLATION:
+        total = omega[c.id]
+        if total < 0 or (total == 0 and c.genus):
             violations.append(Violation(
                 "cond2-unstable", c.id,
                 "component is neither positive for the polarized dualizing "
                 "sheaf nor a destabilizing rational curve"))
-        elif label == DESTABILIZING_P1 and is_torsion_on_component(md, c.id):
+        elif total == 0 and is_torsion_on_component(md, c.id):
             violations.append(Violation(
                 "cond4-torsion-destabilizing", c.id,
                 "destabilizing component with zero degree in every factor"))
-    bounds = dict.fromkeys(classes, 1)
-    for n in curve.nodes:
-        for end in n.ends:
-            bounds[end] = lcm(bounds[end], n.stab_order)
-    for m in curve.markings:
-        bounds[m.comp] = lcm(bounds[m.comp], m.gerbe_order)
-    for c in curve.components:
-        bound = bounds[c.id]
         for k in range(md.n_factors):
             degree = md.degree(k, c.id)
-            if bound % degree.denominator:
-                violations.append(Violation(
+            if bounds[c.id] % degree.denominator:
+                denominators.append(Violation(
                     "degree-denominator", c.id,
                     f"factor {k}: degree {degree} does not clear the local "
-                    f"order bound {bound}"))
-    return violations
+                    f"order bound {bounds[c.id]}"))
+    return violations + denominators

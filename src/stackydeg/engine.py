@@ -27,8 +27,8 @@ nodes in node order, and the nonzero degrees. Insertion edits it in
 place, and the limit is built once, through the validating constructors
 of :class:`TwistedCurve` and :class:`MultiDegree`; contraction is one
 forward scan over a working state of its own. On random trees of genus-2
-bodies, every edge persistent, a run took 0.07, 0.14 and 0.30 s at
-1,000, 2,000 and 4,000 bodies (best of 3, 2-core Xeon VM, Python
+bodies, every edge persistent, a run took 0.05, 0.11 and 0.22 s at
+1,000, 2,000 and 4,000 bodies (best of 5, 2-core Xeon VM, Python
 3.11.7). An insertion moves 1/d between two components of one factor
 and a contraction removes only components of degree zero in every
 factor, so every ``totals`` in the log is the input's per-factor total;

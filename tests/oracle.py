@@ -1,12 +1,26 @@
-"""Matrix and germ helpers that only the tests need.
+"""Matrix, germ and curve helpers that only the tests need.
 
 They build test matrices and state the properties the suites check, on
 top of the package's public types; the package itself never calls them.
+The curve helpers are a reference for ``validate_twisted_map``: a
+breadth-first connectivity test, the dualizing degree of each component,
+its stability class, and the checks built from them, each in its own
+walk over the graph.
 """
 
 from __future__ import annotations
 
-from stackydeg import INFINITE, Mat, RatFunc, SingularMatrixError, smith_normal_form
+from math import lcm
+
+from stackydeg import (
+    INFINITE,
+    Mat,
+    RatFunc,
+    SingularMatrixError,
+    Violation,
+    is_torsion_on_component,
+    smith_normal_form,
+)
 
 
 def identity(n: int) -> Mat:
@@ -50,3 +64,94 @@ def is_regular_at_origin(f: RatFunc) -> bool:
 def is_smooth(sing) -> bool:
     """True for the transverse germ xy = z."""
     return sing.a == 1
+
+
+# -- the reference twisted-map check -------------------------------------------
+
+STABLE = "STABLE"
+DESTABILIZING_P1 = "DESTABILIZING_P1"
+VIOLATION = "VIOLATION"
+
+
+def is_connected(curve) -> bool:
+    ids = {c.id for c in curve.components}
+    reached = {curve.components[0].id}
+    frontier = [curve.components[0].id]
+    adjacency = {cid: set() for cid in ids}
+    for n in curve.nodes:
+        adjacency[n.ends[0]].add(n.ends[1])
+        adjacency[n.ends[1]].add(n.ends[0])
+    while frontier:
+        cur = frontier.pop()
+        for nxt in adjacency[cur]:
+            if nxt not in reached:
+                reached.add(nxt)
+                frontier.append(nxt)
+    return reached == ids
+
+
+def omega_degrees(curve) -> dict:
+    """Coarse degree of the marked dualizing sheaf on each component:
+    2g - 2, plus one per node branch (a self-node counts twice) and one
+    per marking."""
+    out = {c.id: 2 * c.genus - 2 for c in curve.components}
+    for n in curve.nodes:
+        for end in n.ends:
+            out[end] += 1
+    for m in curve.markings:
+        out[m.comp] += 1
+    return out
+
+
+def quasi_stability_check(curve) -> dict:
+    """Classify each component as STABLE, DESTABILIZING_P1 or VIOLATION
+    by the degree of the marked dualizing sheaf on it."""
+    out = {}
+    omega = omega_degrees(curve)
+    for c in curve.components:
+        total = omega[c.id]
+        if total > 0:
+            out[c.id] = STABLE
+        elif total == 0 and c.genus == 0:
+            out[c.id] = DESTABILIZING_P1
+        else:
+            out[c.id] = VIOLATION
+    return out
+
+
+def validate_twisted_map(curve, md) -> list:
+    """The violations ``stackydeg.validate_twisted_map`` must report, in
+    its order: connectivity, then stability and torsion per component,
+    then degree denominators per component and factor."""
+    violations = []
+    if not is_connected(curve):
+        violations.append(Violation(
+            "cond1-disconnected", None, "the dual graph is not connected"))
+    classes = quasi_stability_check(curve)
+    for c in curve.components:
+        label = classes[c.id]
+        if label == VIOLATION:
+            violations.append(Violation(
+                "cond2-unstable", c.id,
+                "component is neither positive for the polarized dualizing "
+                "sheaf nor a destabilizing rational curve"))
+        elif label == DESTABILIZING_P1 and is_torsion_on_component(md, c.id):
+            violations.append(Violation(
+                "cond4-torsion-destabilizing", c.id,
+                "destabilizing component with zero degree in every factor"))
+    bounds = dict.fromkeys(classes, 1)
+    for n in curve.nodes:
+        for end in n.ends:
+            bounds[end] = lcm(bounds[end], n.stab_order)
+    for m in curve.markings:
+        bounds[m.comp] = lcm(bounds[m.comp], m.gerbe_order)
+    for c in curve.components:
+        bound = bounds[c.id]
+        for k in range(md.n_factors):
+            degree = md.degree(k, c.id)
+            if bound % degree.denominator:
+                violations.append(Violation(
+                    "degree-denominator", c.id,
+                    f"factor {k}: degree {degree} does not clear the local "
+                    f"order bound {bound}"))
+    return violations

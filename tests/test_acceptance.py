@@ -20,7 +20,6 @@ from stackydeg import (
     degeneration_input_from_json,
     different_degree,
     pushforward_contains,
-    quasi_stability_check,
     resolve_An,
     smith_normal_form,
     t_power,
@@ -28,8 +27,7 @@ from stackydeg import (
     validate_twisted_map,
 )
 from stackydeg.cli import builtin_scenario, main
-from stackydeg.curve import DESTABILIZING_P1
-from oracle import matmul, scale, valuation_of_det
+from oracle import DESTABILIZING_P1, matmul, quasi_stability_check, scale, valuation_of_det
 from support import random_engine_input, random_regular_matrix, random_unimodular
 
 

@@ -1,9 +1,10 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
-from stackydeg import DegenerationInput, Mat, SchemaError, degenerate, validate_twisted_map
+from stackydeg import DegenerationInput, Mat, SchemaError, degenerate, engine, validate_twisted_map
 from stackydeg.cli import builtin_scenario, main
 from stackydeg.curve import GradingSpec, MultiDegree, TwistedCurve
 
@@ -90,6 +91,18 @@ def test_float_degree_rejected_with_pointer(tmp_path, capsys):
     code, err = _degen_error(tmp_path, capsys, doc)
     assert code == 2
     assert "/multidegree/deg/0/C" in err
+
+
+@pytest.mark.parametrize("value", ["1e5000", "1.5", " 1/2 ", "1_000", "\u0663"],
+                         ids=["exponent", "decimal", "padded", "underscore", "arabic-digit"])
+def test_degree_string_outside_grammar_rejected_with_pointer(tmp_path, capsys, value):
+    # Fraction reads all of these; only [+-]?[0-9]+(/[0-9]+)? is a degree
+    doc = builtin_scenario("theta-example-1")
+    doc["multidegree"]["deg"] = [{"C": value}]
+    code, err = _degen_error(tmp_path, capsys, doc)
+    assert code == 2
+    assert err == ("input error: /multidegree/deg/0/C: "
+                   "expected an exact rational like '1/4'\n")
 
 
 def test_empty_weight_row_rejected_with_pointer(tmp_path, capsys):
@@ -271,6 +284,30 @@ CROSS_REFERENCE_FAULTS = [
 ]
 
 
+# (id, edit of a theta-example-3 document, pointer): faults the TwistedCurve
+# constructor finds, located by the pointer it attaches
+CURVE_STRUCTURE_FAULTS = [
+    ("duplicate-component", lambda doc: doc["components"].append({"id": "C", "genus": 1}),
+     "/components/2/id"),
+    ("duplicate-node", _set_in(("nodes", 1, "id"), "n1"), "/nodes/1/id"),
+    ("node-end-unknown", _set_in(("nodes", 1, "ends"), ["C", "X"]), "/nodes/1/ends"),
+    ("duplicate-marking", _set_in(("markings",), [{"id": "p", "comp": "C"},
+                                                 {"id": "p", "comp": "P"}]),
+     "/markings/1/id"),
+    ("marking-comp-unknown", _set_in(("markings",), [{"id": "p", "comp": "X"}]),
+     "/markings/0/comp"),
+    ("no-components", _set_in(("components",), []), "/components"),
+]
+
+
+@pytest.mark.parametrize("edit, pointer", [row[1:] for row in CURVE_STRUCTURE_FAULTS],
+                         ids=[row[0] for row in CURVE_STRUCTURE_FAULTS])
+def test_curve_structure_fault_exit_2_with_pointer(tmp_path, capsys, edit, pointer):
+    code, err = _degen_error(tmp_path, capsys, _faulty_doc(edit))
+    assert code == 2
+    assert err.startswith(f"input error: {pointer}: ")
+
+
 def _faulty_doc(edit):
     doc = builtin_scenario("theta-example-3")
     edit(doc)
@@ -436,6 +473,26 @@ def test_validation_failure_report_golden(tmp_path, capsys):
     assert out.read_text() == VALIDATION_FAILURE_REPORT
     assert run_cli("degen", str(src)) == 1
     assert capsys.readouterr().out == VALIDATION_FAILURE_REPORT
+
+
+def test_disconnected_limit_is_a_validation_failure(tmp_path, monkeypatch):
+    # no pass disconnects a curve; rewire the limit of two-genus2-bridge so
+    # that C2 is cut off with genus and totals intact
+    contract = engine.contract_torsion_components
+    ends = {"n1": ("C1", "C1"), "n2:q1": ("n2:E1", "n2:E1")}
+
+    def cut(curve, md):
+        curve, md, records = contract(curve, md)
+        nodes = [replace(n, ends=ends.get(n.id, n.ends)) for n in curve.nodes]
+        return TwistedCurve(curve.components, nodes, curve.markings), md, records
+
+    monkeypatch.setattr(engine, "contract_torsion_components", cut)
+    out = tmp_path / "out.json"
+    assert run_cli("scenario", "two-genus2-bridge", "--out", str(out)) == 1
+    report = json.loads(out.read_text())
+    assert report["validation"]["violations"] == [
+        {"kind": "cond1-disconnected", "subject": None,
+         "detail": "the dual graph is not connected"}]
 
 
 def test_degen_validates_the_input_once(tmp_path, monkeypatch):

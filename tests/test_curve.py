@@ -1,12 +1,11 @@
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from stackydeg import (
-    DESTABILIZING_P1,
-    STABLE,
-    VIOLATION,
     AnSing,
     Component,
     CurveError,
@@ -17,11 +16,21 @@ from stackydeg import (
     SchemaError,
     TwistedCurve,
     arithmetic_genus,
+    degenerate,
+    degeneration_input_from_json,
     is_torsion_on_component,
-    omega_degrees,
-    quasi_stability_check,
     validate_twisted_map,
 )
+import oracle
+from oracle import (
+    DESTABILIZING_P1,
+    STABLE,
+    VIOLATION,
+    is_connected,
+    omega_degrees,
+    quasi_stability_check,
+)
+from support import random_big_graph_input, random_engine_input, random_tree_input
 
 
 def two_genus2_two_nodes():
@@ -49,10 +58,10 @@ def test_genus_self_node():
     assert arithmetic_genus(c) == 1
 
 
-def test_genus_disconnected_rejected():
-    c = TwistedCurve([Component("A", 1), Component("B", 1)])
-    with pytest.raises(CurveError):
-        arithmetic_genus(c)
+def test_genus_disconnected_is_one_minus_chi():
+    # 1 - χ(O_C) = Σ genus + #nodes - #components + 1, connected or not
+    assert arithmetic_genus(TwistedCurve([Component("A", 1), Component("B", 1)])) == 1
+    assert arithmetic_genus(TwistedCurve([Component("A", 0), Component("B", 0)])) == -1
 
 
 # -- dualizing degree ----------------------------------------------------------
@@ -140,6 +149,59 @@ def test_validate_disconnected():
     assert "cond1-disconnected" in kinds
 
 
+# -- differential: the one-walk check against the reference ---------------------
+
+def _mutants(rng, curve, md):
+    """The curve and degrees, then one variant per edit that can break a
+    twisted map: a node dropped, a genus raised or lowered, a marking
+    added (alone, and with a degree only its order clears), and the
+    degrees of the destabilizing components zeroed."""
+    comps, nodes, marks = list(curve.components), list(curve.nodes), list(curve.markings)
+    yield curve, md
+    if nodes:
+        drop = rng.randrange(len(nodes))
+        yield TwistedCurve(comps, nodes[:drop] + nodes[drop + 1:], marks), md
+    ix = rng.randrange(len(comps))
+    for step in (1, -1):
+        genus = comps[ix].genus + step
+        if genus >= 0:
+            bent = comps[:ix] + [Component(comps[ix].id, genus)] + comps[ix + 1:]
+            yield TwistedCurve(bent, nodes, marks), md
+    extra = Marking("extra", rng.choice(comps).id, rng.randint(2, 4))
+    marked = TwistedCurve(comps, nodes, marks + [extra])
+    yield marked, md
+    # a degree that only the new marking's gerbe order clears
+    yield marked, MultiDegree(md.n_factors, {
+        **md.nonzero(), (0, extra.comp): Fraction(1, extra.gerbe_order)})
+    flat = {cid for cid, label in quasi_stability_check(curve).items()
+            if label == DESTABILIZING_P1}
+    if flat:
+        kept = {key: x for key, x in md.nonzero().items() if key[1] not in flat}
+        yield curve, MultiDegree(md.n_factors, kept)
+
+
+def test_validate_matches_reference_on_seeded_curves():
+    rng = random.Random(20261020)
+    docs = [random_engine_input(rng) for _ in range(150)]
+    docs += [random_big_graph_input(rng) for _ in range(4)]
+    docs += [random_tree_input(rng, rng.randint(2, 40)) for _ in range(20)]
+    kinds = set()
+    cases = 0
+    for doc in docs:
+        inp = degeneration_input_from_json(doc)
+        out = degenerate(inp)
+        for curve, md in ((inp.curve, inp.multidegree),
+                          (out.limit_curve, out.limit_multidegree)):
+            for mutant, degrees in _mutants(rng, curve, md):
+                expected = oracle.validate_twisted_map(mutant, degrees)
+                assert validate_twisted_map(mutant, degrees) == expected
+                kinds.update(v.kind for v in expected)
+                cases += 1
+    assert cases > 1500
+    assert kinds == {"cond1-disconnected", "cond2-unstable",
+                     "cond4-torsion-destabilizing", "degree-denominator"}
+
+
 # -- degree denominators ---------------------------------------------------------
 
 def test_denominator_invariant():
@@ -162,6 +224,27 @@ def test_denominator_invariant():
     [v] = validate_twisted_map(self_node, MultiDegree(1, {(0, "A"): Fraction(1, 3)}))
     assert (v.subject, v.detail) == (
         "A", "factor 0: degree 1/3 does not clear the local order bound 4")
+
+
+# -- degree strings ----------------------------------------------------------------
+
+def test_degree_strings_read_exactly_the_printed_grammar():
+    grammar = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+    for n in range(5):
+        for chars in itertools.product("01+-/.e _", repeat=n):
+            text = "".join(chars)
+            expected = (grammar.fullmatch(text) is not None
+                        and int(text.partition("/")[2] or 1) != 0)
+            try:
+                md = MultiDegree.from_json_dict({"factors": 1, "deg": [{"A": text}]})
+            except SchemaError as exc:
+                assert not expected, text
+                assert exc.pointer == "/deg/0/A"
+            else:
+                assert expected, text
+                assert md.degree(0, "A") == Fraction(text)
+    md = MultiDegree.from_json_dict({"factors": 1, "deg": [{"A": "-2/4", "B": 5}]})
+    assert (md.degree(0, "A"), md.degree(0, "B")) == (Fraction(-1, 2), 5)
 
 
 # -- structure checks ------------------------------------------------------------
@@ -218,7 +301,7 @@ def test_global_omega_identity_random():
         marks = [Marking(f"p{j}", rng.choice(comps).id, rng.randint(1, 3))
                  for j in range(rng.randint(0, 2))]
         c = TwistedCurve(comps, nodes, marks)
-        if not c.is_connected():
+        if not is_connected(c):
             continue
         total = sum(omega_degrees(c).values())
         assert total == 2 * arithmetic_genus(c) - 2 + len(marks)
