@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from .blowup import AnSing
-from .errors import SchemaError, is_int
+from .errors import SchemaError, check_order, is_int
 
 __all__ = [
     "Component",
@@ -213,6 +213,7 @@ class TwistedCurve:
             stab = n.get("stab", 1)
             if not is_int(stab) or stab < 1:
                 raise SchemaError(f"{p}/stab", "expected a positive integer")
+            check_order(stab, f"{p}/stab")
             persistent = n.get("persistent", False)
             if not isinstance(persistent, bool):
                 raise SchemaError(f"{p}/persistent", "expected a boolean")
@@ -222,6 +223,7 @@ class TwistedCurve:
                 if (not isinstance(s, dict) or not is_int(s.get("a"))
                         or not is_int(s.get("mu"))):
                     raise SchemaError(f"{p}/sing", "expected {'a': int, 'mu': int}")
+                check_order(max(s["a"], s["mu"], key=abs), f"{p}/sing")
                 try:
                     sing = AnSing(s["a"], s["mu"])
                 except ValueError as exc:
@@ -239,6 +241,7 @@ class TwistedCurve:
             gerbe = m.get("gerbe", 1)
             if not is_int(gerbe) or gerbe < 1:
                 raise SchemaError(f"{p}/gerbe", "expected a positive integer")
+            check_order(gerbe, f"{p}/gerbe")
             markings.append(Marking(mid, str(comp), gerbe))
         try:
             return cls(components, nodes, markings)
@@ -446,6 +449,7 @@ class GradingSpec:
             if (not isinstance(d, list) or not d
                     or not all(is_int(x) and x >= 1 for x in d)):
                 raise SchemaError(f"{pointer}/d", "expected a list of positive integers")
+            check_order(max(d), f"{pointer}/d")
         weights = obj.get("weights")
         if weights is not None:
             if not isinstance(weights, list):
@@ -456,6 +460,7 @@ class GradingSpec:
                 if not isinstance(w, list) or not w or not all(is_int(x) for x in w):
                     raise SchemaError(f"{pointer}/weights/{k}",
                                       "expected a non-empty list of integers or null")
+                check_order(max(w, key=abs), f"{pointer}/weights/{k}")
         try:
             return cls(tuple(d) if d is not None else None, weights)
         except CurveError as exc:

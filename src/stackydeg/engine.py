@@ -54,7 +54,7 @@ from .curve import (
     validate_twisted_map,
 )
 from .dvrlinalg import Mat, SingularMatrixError, smith_normal_form
-from .errors import SchemaError, is_int
+from .errors import SchemaError, check_order, is_int
 
 __all__ = [
     "DegenerationInput",
@@ -132,6 +132,7 @@ class DegenerationInput:
                 raise SchemaError(p, "unknown node id")
             if not is_int(k) or k < 1:
                 raise SchemaError(p, "expected a positive integer")
+            check_order(k, p)
 
 
 @dataclass

@@ -2,7 +2,9 @@
 
 They build test matrices and state the properties the suites check, on
 top of the package's public types; the package itself never calls them.
-The curve helpers are a reference for ``validate_twisted_map``: a
+The polynomial helpers are the reference reduction of ``RatFunc``:
+Euclid's algorithm over Q on Fraction coefficients. The curve helpers
+are a reference for ``validate_twisted_map``: a
 breadth-first connectivity test, the dualizing degree of each component,
 its stability class, and the checks built from them, each in its own
 walk over the graph.
@@ -10,6 +12,7 @@ walk over the graph.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
 from stackydeg import (
@@ -64,6 +67,64 @@ def is_regular_at_origin(f: RatFunc) -> bool:
 def is_smooth(sing) -> bool:
     """True for the transverse germ xy = z."""
     return sing.a == 1
+
+
+# -- the reference reduction over Q --------------------------------------------
+# Dense polynomials are tuples of Fractions, lowest power first, with no
+# trailing zeros.
+
+
+def _trim(coeffs) -> tuple:
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+def pmul(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _trim(out)
+
+
+def pdivmod(a: tuple, b: tuple) -> tuple:
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    q = [Fraction(0)] * max(0, len(r) - db)
+    while len(r) > db:
+        if not r[-1]:
+            r.pop()
+            continue
+        k = len(r) - 1 - db
+        f = r[-1] / lead
+        q[k] = f
+        for i in range(db + 1):
+            r[k + i] -= f * b[i]
+        r.pop()
+    return _trim(q), _trim(r)
+
+
+def pgcd(a: tuple, b: tuple) -> tuple:
+    """The monic gcd over Q."""
+    while b:
+        a, b = b, pdivmod(a, b)[1]
+    return tuple(c / a[-1] for c in a)
+
+
+def reduce_over_q(num, den) -> tuple:
+    """(numerator, denominator) of num/den in the canonical form of
+    ``RatFunc``: coprime over Q, the denominator monic."""
+    n = _trim(tuple(Fraction(c) for c in num))
+    d = _trim(tuple(Fraction(c) for c in den))
+    if not n:
+        return (), (Fraction(1),)
+    g = pgcd(n, d)
+    n, d = pdivmod(n, g)[0], pdivmod(d, g)[0]
+    return tuple(c / d[-1] for c in n), tuple(c / d[-1] for c in d)
 
 
 # -- the reference twisted-map check -------------------------------------------

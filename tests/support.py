@@ -274,3 +274,18 @@ def random_tree_input(rng: random.Random, bodies: int) -> dict:
         "grading": {"d": [1]},
         "gluing": gluing,
     }
+
+
+def snf_probe_matrix() -> Mat:
+    """U @ diag(1, t^10, t^10, t^10) @ V for random 4x4 integer quadratics
+    U and V (coefficients in [-5, 5] from random.Random(7), U first, row by
+    row): the full-transform Smith form probe in tests/data/snf_4x4.json."""
+    rng = random.Random(7)
+
+    def quadratics():
+        return Mat([[RatFunc(tuple(rng.randint(-5, 5) for _ in range(3)))
+                     for _ in range(4)] for _ in range(4)])
+
+    u = quadratics()
+    v = quadratics()
+    return matmul(u, diagonal([RatFunc(1)] + [t_power(10)] * 3), v)

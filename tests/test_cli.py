@@ -1,12 +1,17 @@
+import hashlib
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from stackydeg import DegenerationInput, Mat, SchemaError, degenerate, engine, validate_twisted_map
 from stackydeg.cli import builtin_scenario, main
 from stackydeg.curve import GradingSpec, MultiDegree, TwistedCurve
+from support import snf_probe_matrix
+
+SNF_PROBE = Path(__file__).parent / "data" / "snf_4x4.json"
 
 
 def run_cli(*argv):
@@ -186,6 +191,73 @@ def test_degree_cap_env(tmp_path, capsys, monkeypatch):
     assert run_cli("degen", str(src)) == 2  # default cap is 64
     monkeypatch.setenv("STACKYDEG_MAX_DEG", "128")
     assert run_cli("degen", str(src), "--out", str(tmp_path / "o.json")) == 0
+
+
+def test_found_integer_size_document_exit_2_with_pointer(tmp_path, capsys):
+    # the smoothing order (mu / gcd(mu, d - 1)) * d would have about 8,000
+    # digits, past what Python converts to a string
+    doc = builtin_scenario("theta-example-2")
+    doc["grading"]["d"] = [10**4000 + 1]
+    doc["extra_mu"]["n1"] = 10**4000 + 3
+    code, err = _degen_error(tmp_path, capsys, doc)
+    assert code == 2
+    assert err == "input error: /grading/d: exceeds the order cap of 64 bits\n"
+
+
+@pytest.mark.parametrize("scenario, path, pointer", [
+    ("theta-example-2", ("nodes", 0, "stab"), "/nodes/0/stab"),
+    ("theta-example-1", ("markings", 0, "gerbe"), "/markings/0/gerbe"),
+    ("theta-example-2", ("extra_mu", "n1"), "/extra_mu/n1"),
+    ("theta-example-2", ("grading", "d", 0), "/grading/d"),
+    ("theta-example-2", ("grading",), "/grading/weights/0"),
+    ("two-genus2-bridge", ("nodes", 0, "sing"), "/nodes/0/sing"),
+], ids=["stab", "gerbe", "extra_mu", "d", "weight", "sing"])
+def test_order_past_cap_exit_2_with_pointer(tmp_path, capsys, scenario, path, pointer):
+    big = 10**2999  # 3,000 digits
+    value = {"grading": {"weights": [[1, -big]]},
+             "sing": {"a": 1, "mu": big}}.get(path[-1], big)
+    doc = builtin_scenario(scenario)
+    _set_in(path, value)(doc)
+    code, err = _degen_error(tmp_path, capsys, doc)
+    assert code == 2
+    assert err == f"input error: {pointer}: exceeds the order cap of 64 bits\n"
+
+
+def test_order_cap_is_64_bits():
+    doc = {"components": [{"id": "A", "genus": 2}],
+           "nodes": [{"id": "n", "ends": ["A", "A"], "stab": 2**64 - 1}]}
+    assert TwistedCurve.from_json_dict(doc).node("n").stab_order == 2**64 - 1
+    doc["nodes"][0]["stab"] = 2**64
+    with pytest.raises(SchemaError, match="/nodes/0/stab"):
+        TwistedCurve.from_json_dict(doc)
+
+
+def test_snf_coefficient_past_digit_limit_exit_2_with_pointer(tmp_path, capsys):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps({"rows": 2, "cols": 2,
+                               "entries": [["1", "0"], ["0", "1" * 5000 + "t"]]}))
+    assert run_cli("snf", str(src)) == 2
+    assert capsys.readouterr().err.startswith("input error: /entries/1/1: ")
+
+
+def test_snf_zero_coefficient_denominator_exit_2_with_pointer(tmp_path, capsys):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [["1/0t"]]}))
+    assert run_cli("snf", str(src)) == 2
+    assert capsys.readouterr().err == (
+        "input error: /entries/0/0: zero coefficient denominator in '1/0t'\n")
+
+
+def test_snf_probe_is_the_seeded_matrix():
+    assert json.loads(SNF_PROBE.read_text()) == snf_probe_matrix().to_json_dict()
+
+
+def test_snf_probe_output_is_unchanged(capsys):
+    # the digest of the Euclid-over-Q reduction's output on the probe
+    assert run_cli("snf", str(SNF_PROBE)) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "fc7ae9118e18a58bc3d77f818837840ce4c549804e8fb747290c1d0cf512b802")
 
 
 def test_snf_identity(tmp_path, capsys):
