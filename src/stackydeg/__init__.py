@@ -50,7 +50,6 @@ from .engine import (
     DegenerationValidationError,
     EngineError,
     TorsionContractionError,
-    contract_torsion_components,
     degenerate,
     degeneration_input_from_json,
 )

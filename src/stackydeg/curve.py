@@ -535,6 +535,14 @@ def validate_twisted_map(curve: TwistedCurve, md: MultiDegree) -> list:
             if bounds[c.id] % degree.denominator:
                 denominators.append(Violation(
                     "degree-denominator", c.id,
-                    f"factor {k}: degree {degree} does not clear the local "
-                    f"order bound {bounds[c.id]}"))
+                    f"factor {k}: degree {_text(degree)} does not clear the local "
+                    f"order bound {_text(bounds[c.id])}"))
     return violations + denominators
+
+
+def _text(x) -> str:
+    """``x`` in decimal, or its size where it has too many digits to print."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"of {max(x.numerator.bit_length(), x.denominator.bit_length())} bits"

@@ -272,12 +272,6 @@ class RatFunc:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -300,12 +294,6 @@ class RatFunc:
         if o is None:
             return NotImplemented
         return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
 
     def __eq__(self, other):
         o = self._coerce(other)

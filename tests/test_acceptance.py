@@ -15,7 +15,6 @@ from stackydeg import (
     AnSing,
     BlowupParams,
     arithmetic_genus,
-    contract_torsion_components,
     degenerate,
     degeneration_input_from_json,
     different_degree,
@@ -27,6 +26,7 @@ from stackydeg import (
     validate_twisted_map,
 )
 from stackydeg.cli import builtin_scenario, main
+from stackydeg.engine import contract_torsion_components
 from oracle import DESTABILIZING_P1, matmul, quasi_stability_check, scale, valuation_of_det
 from support import random_engine_input, random_regular_matrix, random_unimodular
 

@@ -232,6 +232,41 @@ def test_order_cap_is_64_bits():
         TwistedCurve.from_json_dict(doc)
 
 
+def test_degree_denominator_past_digit_limit_exit_1(tmp_path, capsys):
+    # 250 self-nodes of orders 2^64 - i: the lcm of the orders on C has
+    # more digits than Python prints
+    doc = {"components": [{"id": "C", "genus": 2}],
+           "nodes": [{"id": f"n{i}", "ends": ["C", "C"], "stab": 2**64 - i}
+                     for i in range(1, 251)],
+           "multidegree": {"factors": 1, "deg": [{"C": f"1/{2**89 - 1}"}]},
+           "grading": {"d": [1]}}
+    code, err = _degen_error(tmp_path, capsys, doc)
+    assert code == 1
+    assert err == (f"error: input is not a twisted map: factor 0: degree 1/{2**89 - 1} "
+                   "does not clear the local order bound of 14572 bits\n")
+
+
+def test_limit_degree_past_digit_limit_exit_1(tmp_path):
+    # 250 insertions with extra_mu = 2^64 - 1 - i leave C a degree whose
+    # denominator has more digits than Python prints, and order bound 1
+    n = 250
+    doc = {"components": [{"id": "C", "genus": 2}],
+           "nodes": [{"id": f"n{i}", "ends": ["C", "C"], "stab": 1, "persistent": True}
+                     for i in range(n)],
+           "multidegree": {"factors": 1, "deg": [{"C": "2"}]},
+           "grading": {"d": [1]},
+           "gluing": {f"n{i}": {"rows": 1, "cols": 1, "entries": [["t"]]} for i in range(n)},
+           "extra_mu": {f"n{i}": 2**64 - 1 - i for i in range(n)}}
+    src, out = tmp_path / "doc.json", tmp_path / "out.json"
+    src.write_text(json.dumps(doc))
+    assert run_cli("degen", str(src), "--out", str(out)) == 1
+    report = json.loads(out.read_text())
+    assert report["validation"]["violations"][0] == {
+        "kind": "degree-denominator", "subject": "C",
+        "detail": "factor 0: degree of 14567 bits does not clear the local order bound 1"}
+    assert len(report["validation"]["violations"]) == n + 1
+
+
 def test_snf_coefficient_past_digit_limit_exit_2_with_pointer(tmp_path, capsys):
     src = tmp_path / "m.json"
     src.write_text(json.dumps({"rows": 2, "cols": 2,
@@ -550,15 +585,15 @@ def test_validation_failure_report_golden(tmp_path, capsys):
 def test_disconnected_limit_is_a_validation_failure(tmp_path, monkeypatch):
     # no pass disconnects a curve; rewire the limit of two-genus2-bridge so
     # that C2 is cut off with genus and totals intact
-    contract = engine.contract_torsion_components
+    contract = engine._contract_pass
     ends = {"n1": ("C1", "C1"), "n2:q1": ("n2:E1", "n2:E1")}
 
-    def cut(curve, md):
-        curve, md, records = contract(curve, md)
-        nodes = [replace(n, ends=ends.get(n.id, n.ends)) for n in curve.nodes]
-        return TwistedCurve(curve.components, nodes, curve.markings), md, records
+    def cut(state, md, log):
+        contract(state, md, log)
+        state.nodes.update({nid: replace(n, ends=ends[nid])
+                            for nid, n in state.nodes.items() if nid in ends})
 
-    monkeypatch.setattr(engine, "contract_torsion_components", cut)
+    monkeypatch.setattr(engine, "_contract_pass", cut)
     out = tmp_path / "out.json"
     assert run_cli("scenario", "two-genus2-bridge", "--out", str(out)) == 1
     report = json.loads(out.read_text())

@@ -17,7 +17,6 @@ from stackydeg import (
     TorsionContractionError,
     TwistedCurve,
     arithmetic_genus,
-    contract_torsion_components,
     degenerate,
     degeneration_input_from_json,
     parse_ratfunc,
@@ -25,7 +24,11 @@ from stackydeg import (
     validate_twisted_map,
 )
 from stackydeg.cli import builtin_scenario
-from stackydeg.engine import _WorkingState, insert_exceptional_chain
+from stackydeg.engine import (
+    _WorkingState,
+    contract_torsion_components,
+    insert_exceptional_chain,
+)
 from support import graph_signature, random_engine_input, random_gluing
 
 rf = parse_ratfunc

@@ -118,11 +118,11 @@ def check_state(state):
 @pytest.fixture(scope="module")
 def traced_corpus():
     """Run the pipeline on the large-graph corpus, checking the working
-    state after every insertion and keeping every call into the
-    contraction pass."""
+    state after every insertion and keeping the curve frozen before and
+    after every contraction pass, with the pass's records."""
     inserted, contract_calls, runs = [], [], []
     insert = engine.insert_exceptional_chain
-    contract = engine.contract_torsion_components
+    contract = engine._contract_pass
 
     def recording_insert(state, *args):
         before = state_totals(state)
@@ -130,15 +130,16 @@ def traced_corpus():
         inserted.append((check_state(state), before, state_totals(state), info))
         return info
 
-    def recording_contract(curve, md):
-        curve2, md2, records = out = contract(curve, md)
-        # keep the records as returned: degenerate adds their totals later
-        contract_calls.append(((curve, md), (curve2, md2, [dict(r) for r in records])))
-        return out
+    def recording_contract(state, md, log):
+        curve, start = state.freeze(), len(log)
+        contract(state, md, log)
+        # keep the records as appended: degenerate adds their totals later
+        records = [dict(r) for r in log[start:]]
+        contract_calls.append(((curve, md), (state.freeze(), md, records)))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "insert_exceptional_chain", recording_insert)
-        mp.setattr(engine, "contract_torsion_components", recording_contract)
+        mp.setattr(engine, "_contract_pass", recording_contract)
         for seed in CORPUS_SEEDS:
             inp = degeneration_input_from_json(random_big_graph_input(random.Random(seed)))
             runs.append((inp, degenerate(inp)))
@@ -178,6 +179,27 @@ def test_insert_totals_match_from_scratch_sums(traced_corpus):
     inserted = traced_corpus[0]
     for _, before, after, _ in inserted:
         assert after == before
+
+
+def test_degenerate_builds_one_state_and_one_limit(monkeypatch):
+    """Insertion and contraction edit one working state, frozen once."""
+    calls = []
+    state_init, curve_init = engine._WorkingState.__init__, TwistedCurve.__init__
+
+    def counted(name, init):
+        def wrapper(self, *args, **kwargs):
+            calls.append(name)
+            init(self, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(engine._WorkingState, "__init__", counted("state", state_init))
+    monkeypatch.setattr(TwistedCurve, "__init__", counted("curve", curve_init))
+    for seed in range(3):
+        inp = degeneration_input_from_json(random_big_graph_input(random.Random(seed)))
+        calls.clear()
+        out = degenerate(inp)
+        assert any(record["type"] == "contract" for record in out.log)
+        assert sorted(calls) == ["curve", "state"]
 
 
 def random_contraction_curve(rng: random.Random):
