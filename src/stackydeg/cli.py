@@ -10,10 +10,12 @@ overridden through the STACKYDEG_MAX_DEG environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 
 from .blowup import (
     AnSing,
@@ -43,8 +45,41 @@ BUILTIN_SCENARIOS = (
 DEFAULT_MAX_DEGREE = 64
 
 
+class _Text(str):
+    """JSON text that ``_dumps`` wrote, embedded re-indented to its depth."""
+
+
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` byte for byte, on
+    dicts with str keys, lists, str, int, bool and None."""
+    chunks: list = []
+    _write(obj, "\n", chunks.append)
+    return "".join(chunks) + "\n"
+
+
+def _write(value, nl: str, out) -> None:
+    if isinstance(value, str):
+        # JSON text holds no raw newline, so each one in a _Text starts a line
+        out(value.replace("\n", nl) if type(value) is _Text else _escape(value))
+    elif isinstance(value, dict):
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out(sep + _escape(key) + ": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out(nl + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in value:
+            out(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out(nl + "]" if value else "[]")
+    else:
+        out("null" if value is None else "true" if value is True
+            else "false" if value is False else int.__repr__(value))
 
 
 def _degree_cap() -> int | None:
@@ -141,29 +176,35 @@ def run(inp: DegenerationInput, args) -> int:
     ``args.dot`` and ``args.log``; returns the exit code.
 
     A limit that fails validation still gets its report, with the step
-    log, written to ``args.out``; every other failure propagates.
+    log, written to ``args.out``; every other failure propagates. The step
+    log is serialized once, for ``args.log`` and inside the report.
     """
     try:
         output = degenerate(inp)
     except DegenerationValidationError as exc:
-        _emit(args.out, _dumps(exc.to_json_dict()))
+        _emit(args.out, "out", _dumps(exc.to_json_dict()))
         return 1
-    _emit(args.out, _dumps(output.to_json_dict()))
+    doc = output.to_json_dict()
+    log = _dumps(doc["log"])
+    doc["log"] = _Text(log[:-1])
+    _emit(args.out, "out", _dumps(doc))
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(output.limit_curve.to_dot(output.limit_multidegree))
+        _emit(args.dot, "dot", output.limit_curve.to_dot(output.limit_multidegree))
     if args.log:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            fh.write(_dumps(output.log))
+        _emit(args.log, "log", log)
     return 0
 
 
-def _emit(path: str | None, text: str) -> None:
-    if path:
+def _emit(path: str | None, flag: str, text: str) -> None:
+    """Write an artifact to ``path`` (stdout if none), or fail at ``/<flag>``."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise SchemaError(f"/{flag}", f"cannot write {path}: {exc.strerror}")
 
 
 def _load_json(path: str):
@@ -232,7 +273,9 @@ def _cmd_resolve(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing keeps no state."""
     parser = argparse.ArgumentParser(
         prog="stackydeg",
         description="exact limits of twisted curves with torus gluing data",
@@ -241,9 +284,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("degen", help="run the pipeline on an input document")
     p.add_argument("input")
-    p.add_argument("--out")
-    p.add_argument("--dot")
-    p.add_argument("--log")
+    for flag in ("--out", "--dot", "--log"):
+        p.add_argument(flag)
     p.set_defaults(func=_cmd_degen)
 
     p = sub.add_parser("scenario", help="run a built-in scenario")
@@ -251,9 +293,8 @@ def main(argv=None) -> int:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--out")
-    p.add_argument("--dot")
-    p.add_argument("--log")
+    for flag in ("--out", "--dot", "--log"):
+        p.add_argument(flag)
     p.set_defaults(func=_cmd_scenario)
 
     p = sub.add_parser("snf", help="diagonalize a matrix over the local ring")
@@ -271,7 +312,11 @@ def main(argv=None) -> int:
     p.add_argument("--mu", type=int, default=1)
     p.set_defaults(func=_cmd_resolve)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (EngineError, SingularMatrixError) as exc:

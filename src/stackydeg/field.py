@@ -176,10 +176,13 @@ _ONE = (Fraction(1),)
 
 
 def _as_poly(value) -> tuple:
-    # a trimmed tuple of int and Fraction coefficients
+    # a trimmed tuple of int and Fraction coefficients. Coefficient tuples
+    # are built from lists: tuple() of a generator starts at 10 items and
+    # resizes, which moves blocks between CPython's per-size tuple free
+    # lists, and those only grow until a full gc clears them
     if isinstance(value, (tuple, list)):
-        return _trim(tuple(c if type(c) in (int, Fraction) else Fraction(c)
-                           for c in value))
+        return _trim(tuple([c if type(c) in (int, Fraction) else Fraction(c)
+                            for c in value]))
     if isinstance(value, (int, Fraction)):
         return (value,) if value else ()
     raise TypeError(f"cannot interpret {value!r} as a polynomial")
@@ -202,7 +205,7 @@ class RatFunc:
         if not d:
             raise ZeroDivisionError("rational function with zero denominator")
         if not n or d == _ONE:  # a polynomial is already canonical
-            self._num = tuple(c if type(c) is Fraction else Fraction(c) for c in n)
+            self._num = tuple([c if type(c) is Fraction else Fraction(c) for c in n])
             self._den = _ONE
             return
         (gn, mn, n), (gd, md, d) = _split(n), _split(d)
@@ -212,8 +215,8 @@ class RatFunc:
             _, n, d = _heu_gcd(n, d) or _prs_gcd(n, d)
         lead = d[-1]  # num/den = (gn md / mn gd) * n/d, n and d coprime
         p, q = gn * md, mn * gd * lead
-        self._num = tuple(Fraction(p * c, q) for c in n)
-        self._den = tuple(Fraction(c, lead) for c in d)
+        self._num = tuple([Fraction(p * c, q) for c in n])
+        self._den = tuple([Fraction(c, lead) for c in d])
 
     # -- structure ----------------------------------------------------------
 
@@ -263,7 +266,7 @@ class RatFunc:
 
     def __neg__(self):
         out = RatFunc.__new__(RatFunc)
-        out._num, out._den = tuple(-c for c in self._num), self._den
+        out._num, out._den = tuple([-c for c in self._num]), self._den
         return out
 
     def __sub__(self, other):
@@ -384,7 +387,7 @@ def _parse_poly(text: str, max_degree: int | None) -> tuple:
         pos = m.end()
         first = False
     top = max(coeffs)
-    return _trim(tuple(coeffs.get(i, 0) for i in range(top + 1)))
+    return _trim(tuple([coeffs.get(i, 0) for i in range(top + 1)]))
 
 
 def parse_ratfunc(text: str, max_degree: int | None = None) -> RatFunc:

@@ -1,15 +1,40 @@
+import errno
 import hashlib
 import json
 import os
+import random
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from stackydeg import DegenerationInput, Mat, SchemaError, degenerate, engine, validate_twisted_map
-from stackydeg.cli import builtin_scenario, main
+import stackydeg
+from stackydeg import (
+    BlowupParams,
+    DegenerationInput,
+    DegenerationValidationError,
+    Mat,
+    SchemaError,
+    degenerate,
+    degeneration_input_from_json,
+    engine,
+    mu_action_on_blowup,
+    smith_normal_form,
+    twisted_blowup,
+    validate_twisted_map,
+)
+from stackydeg.cli import BUILTIN_SCENARIOS, _dumps, builtin_scenario, main
 from stackydeg.curve import GradingSpec, MultiDegree, TwistedCurve
-from support import snf_probe_matrix
+from support import (
+    random_big_graph_input,
+    random_engine_input,
+    random_gluing,
+    random_regular_matrix,
+    random_tree_input,
+    snf_probe_matrix,
+)
 
 SNF_PROBE = Path(__file__).parent / "data" / "snf_4x4.json"
 
@@ -666,3 +691,204 @@ def test_resolve_degree_cap(capsys, monkeypatch):
     monkeypatch.setenv("STACKYDEG_MAX_DEG", "0")
     assert run_cli("resolve", "--a", "65") == 0
     assert json.loads(capsys.readouterr().out)["a"] == 65
+
+
+# -- the parser is built once per process and keeps no state --------------------
+
+SRC = Path(stackydeg.__file__).resolve().parent.parent
+
+# {out}, {doc} and {matrix} stand for files in each side's own directory
+CALL_SEQUENCE = [
+    ("scenario", "theta-example-2", "--k", "3"),
+    ("scenario", "theta-example-2"),
+    ("degen", "{doc}", "--out", "{out}"),
+    ("degen", "{doc}"),
+    ("blowup", "--m", "1"),  # --d is required: argparse exits 2
+    ("snf", "{matrix}"),
+]
+
+
+def _call_files(root: Path) -> dict:
+    root.mkdir()
+    files = {name: root / f"{name}.json" for name in ("doc", "out", "matrix")}
+    files["doc"].write_text(json.dumps(builtin_scenario("theta-example-3")))
+    files["matrix"].write_text(json.dumps(
+        {"rows": 2, "cols": 2, "entries": [["t", "t"], ["t", "t^3"]]}))
+    return files
+
+
+def _child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _first_call_of_a_process(argv, files):
+    """Exit code, stdout, stderr and ``--out`` text of ``main(argv)`` as the
+    first call of a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from stackydeg.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv], env=_child_env(), capture_output=True, text=True, timeout=60)
+    out = files["out"].read_text() if files["out"].exists() else None
+    return proc.returncode, proc.stdout, proc.stderr, out
+
+
+def _call_in_process(argv, files, capsys):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    out = files["out"].read_text() if files["out"].exists() else None
+    return code, captured.out, captured.err, out
+
+
+def test_repeated_main_calls_match_first_calls(tmp_path, capsys, monkeypatch):
+    # argparse wraps its usage text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh_files = _call_files(tmp_path / "fresh")
+    here_files = _call_files(tmp_path / "here")
+    results = []
+    for argv in CALL_SEQUENCE:
+        fresh = _first_call_of_a_process(
+            [a.format(**fresh_files) for a in argv], fresh_files)
+        here = _call_in_process([a.format(**here_files) for a in argv], here_files, capsys)
+        assert here == fresh, argv
+        results.append(here)
+    codes = [r[0] for r in results]
+    assert codes == [0, 0, 0, 0, 2, 0]
+    # --k 3 did not stick: the second call ran with the default k = 2
+    assert results[0][1] != results[1][1]
+    assert results[1][1] == _canonical_report(builtin_scenario("theta-example-2"))
+    # the --out text of call 3 is what call 4 wrote to stdout
+    assert results[2][3] == results[3][1]
+    assert "usage: stackydeg blowup" in results[4][2]
+
+
+COUNT_PARSER_BUILDS = """
+import argparse, contextlib, io
+from stackydeg.cli import main
+builds = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    if kwargs.get("prog") == "stackydeg":
+        builds.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["resolve", "--a", "3"]), main(["scenario", "theta-example-1"])]
+print(codes, len(builds))
+"""
+
+
+def test_parser_is_built_once_per_process():
+    proc = subprocess.run([sys.executable, "-c", COUNT_PARSER_BUILDS], env=_child_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[0, 0] 1\n"
+
+
+# -- one writer: json.dumps(sort_keys=True, indent=2) byte for byte ---------------
+
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _report(doc) -> dict:
+    """The document ``degen`` writes to ``--out`` for the input ``doc``."""
+    try:
+        return degenerate(degeneration_input_from_json(doc)).to_json_dict()
+    except DegenerationValidationError as exc:
+        return exc.to_json_dict()
+
+
+def _canonical_report(doc) -> str:
+    return _canonical(_report(doc))
+
+
+WRITER_EDGE_CASES = [
+    {}, [], "", 0, None, True, False,
+    {"a": {}, "b": [], "c": [{}, [], [[]], {"d": {}}], "e": {"f": {"g": []}}},
+    [True, False, None, 0, -1, 10**199, -(10**199) - 7],
+    {"q\"uote": "back\\slash", "ctl\x00\x1f\x7f\n\t\r\b\f": "\u00e9 \u6f22 \u2028 \u2029",
+     "astral \U0001f600": "lone \ud800 surrogate", "": "/"},
+    {"b": 1, "a": 2, "B": 3, "é": 4, "a\x00": 5, "10": 6, "9": 7},
+]
+
+
+@pytest.mark.parametrize("obj", WRITER_EDGE_CASES, ids=range(len(WRITER_EDGE_CASES)))
+def test_writer_edge_cases(obj):
+    assert _dumps(obj) == _canonical(obj)
+
+
+def _generator_documents():
+    for seed in range(3):
+        yield random_engine_input(random.Random(seed))
+        yield random_big_graph_input(random.Random(seed))
+        yield random_tree_input(random.Random(seed), 4 + seed)
+
+
+@pytest.mark.parametrize("doc", [
+    *(builtin_scenario(name) for name in BUILTIN_SCENARIOS),
+    VALIDATION_FAILURE_DOC,
+    *_generator_documents(),
+], ids=[*BUILTIN_SCENARIOS, "validation-failure",
+        *(f"{g}-{s}" for s in range(3) for g in ("engine", "big-graph", "tree"))])
+def test_degen_artifacts_are_canonical(tmp_path, doc):
+    report = _report(doc)
+    assert _dumps(report) == _canonical(report)
+    assert _dumps(report["log"]) == _canonical(report["log"])
+    src, out, log = tmp_path / "doc.json", tmp_path / "out.json", tmp_path / "log.json"
+    src.write_text(json.dumps(doc))
+    code = run_cli("degen", str(src), "--out", str(out), "--log", str(log))
+    assert out.read_text() == _canonical(report)
+    if "error" in report:
+        assert code == 1 and not log.exists()
+        return
+    assert code == 0
+    # the step log is serialized once: --log is the "log" value of --out
+    assert log.read_text() == _canonical(report["log"])
+    assert _canonical(json.loads(out.read_text())["log"]) == log.read_text()
+
+
+@pytest.mark.parametrize("matrix", [
+    *(random_regular_matrix(random.Random(seed), n) for seed, n in ((0, 1), (1, 2), (2, 3))),
+    *(random_gluing(random.Random(seed), n) for seed, n in ((3, 2), (4, 3))),
+], ids=["regular-1", "regular-2", "regular-3", "gluing-2", "gluing-3"])
+def test_snf_output_is_canonical(tmp_path, capsys, matrix):
+    result = smith_normal_form(matrix).to_json_dict()
+    assert _dumps(result) == _canonical(result)
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(matrix.to_json_dict()))
+    assert run_cli("snf", str(src)) == 0
+    assert capsys.readouterr().out == _canonical(result)
+
+
+def test_blowup_and_resolve_reports_are_canonical(capsys):
+    params = BlowupParams(2, 3)
+    report = {"blowup": twisted_blowup(params).to_json_dict(),
+              "mu_action": mu_action_on_blowup(2, params).to_json_dict()}
+    assert run_cli("blowup", "--m", "2", "--d", "3", "--mu", "2") == 0
+    assert capsys.readouterr().out == _canonical(report)
+    assert run_cli("resolve", "--a", "6") == 0
+    out = capsys.readouterr().out
+    assert out == _canonical(json.loads(out))
+
+
+# -- an artifact path that cannot be written: exit 2 with the flag's pointer ------
+
+@pytest.mark.parametrize("flag, target, err", [
+    ("out", "missing/x.json", errno.ENOENT),
+    ("dot", "missing/x.dot", errno.ENOENT),
+    ("log", ".", errno.EISDIR),
+], ids=["out-missing-dir", "dot-missing-dir", "log-is-a-dir"])
+def test_unwritable_artifact_exit_2_with_pointer(tmp_path, capsys, flag, target, err):
+    path = tmp_path / target
+    argv = ["scenario", "theta-example-1", f"--{flag}", str(path)]
+    if flag != "out":
+        argv += ["--out", str(tmp_path / "out.json")]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"input error: /{flag}: cannot write {path}: {os.strerror(err)}\n")
+    assert captured.out == ""
