@@ -17,9 +17,7 @@ from .blowup import (
     MuActionReport,
     an_blowup_step,
     contract_singularity,
-    different_degree,
     mu_action_on_blowup,
-    pushforward_contains,
     resolve_An,
     twisted_blowup,
 )

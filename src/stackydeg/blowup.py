@@ -1,16 +1,15 @@
 """Numerical calculus of weighted stacky blow-ups and A-type singularities.
 
 Everything here is a closed formula on small integer data: the
-exceptional curve of an (m, d) blow-up, a certified containment test for
-pushed-forward powers of its ideal, the cyclic-action bookkeeping on the
-blown-up surface, the step-by-step resolution of an A-type surface
+exceptional curve of an (m, d) blow-up, the cyclic-action bookkeeping on
+the blown-up surface, the step-by-step resolution of an A-type surface
 singularity, and the singularity produced by contracting a rational
 curve between two such points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -21,12 +20,10 @@ __all__ = [
     "AnSing",
     "ContractionError",
     "twisted_blowup",
-    "pushforward_contains",
     "mu_action_on_blowup",
     "an_blowup_step",
     "resolve_An",
     "contract_singularity",
-    "different_degree",
 ]
 
 
@@ -34,24 +31,21 @@ class ContractionError(ValueError):
     """The hypotheses of the contraction formula are not met."""
 
 
-@dataclass(frozen=True)
-class BlowupParams:
+class BlowupParams(namedtuple("BlowupParams", "m d")):
     """Weight m of the section direction and root order d of the exceptional."""
 
-    m: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1 or self.d < 1:
+    def __new__(cls, m, d):
+        if m < 1 or d < 1:
             raise ValueError("blow-up parameters require m >= 1 and d >= 1")
+        return super().__new__(cls, m, d)
 
 
-@dataclass(frozen=True)
-class BlowupResult:
-    exceptional_self_intersection: Fraction
-    ideal_degree_on_exceptional: Fraction
-    stacky_point_order: int
-    section_twist: int
+class BlowupResult(namedtuple("BlowupResult", "exceptional_self_intersection "
+                              "ideal_degree_on_exceptional stacky_point_order "
+                              "section_twist")):
+    __slots__ = ()
 
     @property
     def exceptional_is_schematic(self) -> bool:
@@ -83,34 +77,12 @@ def twisted_blowup(p: BlowupParams) -> BlowupResult:
     )
 
 
-def pushforward_contains(p: BlowupParams, k: int, monomial: tuple) -> bool:
-    """Certified containment in the pushforward of the k-th ideal power.
-
-    For k <= 0 the pushforward is the whole structure sheaf, so any
-    monomial is contained. For k > 0 this tests membership of
-    pi**a_pi * y**a_y in the monomial ideal (pi**(m*k), y**ceil(k/d)),
-    which is a lower bound for the true pushforward, not an exact
-    membership oracle.
-    """
-    a_pi, a_y = monomial
-    if a_pi < 0 or a_y < 0:
-        raise ValueError("monomial exponents must be non-negative")
-    if k <= 0:
-        return True
-    return a_pi >= p.m * k or a_y >= -(-k // p.d)
-
-
-@dataclass(frozen=True)
-class MuActionReport:
+class MuActionReport(namedtuple("MuActionReport", "ell m d trivial "
+                                "faithful_on_exceptional fixed_point_count "
+                                "stabilizer_order_bound")):
     """How a cyclic action of order ell interacts with an (m, d) blow-up."""
 
-    ell: int
-    m: int
-    d: int
-    trivial: bool
-    faithful_on_exceptional: bool
-    fixed_point_count: int | None
-    stabilizer_order_bound: int
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,21 +120,20 @@ def mu_action_on_blowup(ell: int, p: BlowupParams) -> MuActionReport:
     )
 
 
-@dataclass(frozen=True)
-class AnSing:
+class AnSing(namedtuple("AnSing", "a mu_order")):
     """The germ xy = z**a with a residual cyclic structure of order mu_order.
 
     a = 1 is the smooth (transverse) case; mu_order = 1 means schematic.
     """
 
-    a: int
-    mu_order: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 1:
+    def __new__(cls, a, mu_order=1):
+        if a < 1:
             raise ValueError("singularity index a must be >= 1")
-        if self.mu_order < 1:
+        if mu_order < 1:
             raise ValueError("mu_order must be >= 1")
+        return super().__new__(cls, a, mu_order)
 
     def to_json_dict(self) -> dict:
         return {"a": self.a, "mu": self.mu_order}
@@ -212,14 +183,6 @@ def contract_singularity(p_sing: AnSing, q_sing: AnSing, k: int) -> AnSing:
             f"do not both equal {k}"
         )
     return AnSing(k * (p_sing.a + q_sing.a), k)
-
-
-def different_degree(km: int, kn: int) -> Fraction:
-    """Degree of the log-canonical restriction to a curve through two
-    cyclic quotient points of orders km and kn: -2 + (1-1/km) + (1-1/kn)."""
-    if km < 1 or kn < 1:
-        raise ValueError("orders must be positive integers")
-    return Fraction(-2) + (1 - Fraction(1, km)) + (1 - Fraction(1, kn))
 
 
 def theta_smoothing_order(k: int, d: int) -> int:

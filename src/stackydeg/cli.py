@@ -10,6 +10,7 @@ overridden through the STACKYDEG_MAX_DEG environment variable.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -196,15 +197,25 @@ def run(inp: DegenerationInput, args) -> int:
 
 
 def _emit(path: str | None, flag: str, text: str) -> None:
-    """Write an artifact to ``path`` (stdout if none), or fail at ``/<flag>``."""
-    if not path:
-        sys.stdout.write(text)
-        return
+    """Write an artifact to ``path`` (stdout if none), or fail at ``/<flag>``.
+
+    Stdout is flushed here, so that a full device or a closed pipe fails
+    here too. A stdout that failed is then dropped, as Python drops one
+    closed at start: Python would flush it again at exit, fail, and exit 120.
+    """
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        elif sys.stdout is None:
+            raise OSError(errno.EBADF, "stdout is closed")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        raise SchemaError(f"/{flag}", f"cannot write {path}: {exc.strerror}")
+        if not path:
+            sys.stdout = None
+        raise SchemaError(f"/{flag}", f"cannot write {path or '<stdout>'}: {exc.strerror}")
 
 
 def _load_json(path: str):
@@ -236,7 +247,7 @@ def _cmd_snf(args) -> int:
     if mat.cols != mat.rows:
         raise SchemaError("/cols", f"expected a square matrix ({mat.rows} columns)")
     result = smith_normal_form(mat)
-    sys.stdout.write(_dumps(result.to_json_dict()))
+    _emit(None, "out", _dumps(result.to_json_dict()))
     return 0
 
 
@@ -248,7 +259,7 @@ def _cmd_blowup(args) -> int:
             report["mu_action"] = mu_action_on_blowup(args.mu, params).to_json_dict()
     except ValueError as exc:
         raise SchemaError("/blowup", str(exc))
-    sys.stdout.write(_dumps(report))
+    _emit(None, "out", _dumps(report))
     return 0
 
 
@@ -262,7 +273,7 @@ def _cmd_resolve(args) -> int:
     except ValueError as exc:
         raise SchemaError("/resolve", str(exc))
     steps = resolve_An(sing)
-    sys.stdout.write(_dumps({
+    _emit(None, "out", _dumps({
         "a": sing.a,
         "mu": sing.mu_order,
         "steps": [{"a_before": before.a, "a_after": after.a,

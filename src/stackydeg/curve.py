@@ -9,7 +9,7 @@ always recomputed from the graph, never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -48,37 +48,25 @@ TORSION_CRITERION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class Component:
-    id: str
-    genus: int
+Component = namedtuple("Component", "id genus")
 
 
-@dataclass(frozen=True)
-class Node:
-    id: str
-    ends: tuple
-    stab_order: int = 1
-    persistent: bool = False
-    singularity: AnSing | None = None
+class Node(namedtuple("Node", "id ends stab_order persistent singularity",
+                      defaults=(1, False, None))):
+    """``ends`` is a pair of component ids, ``singularity`` an AnSing or None."""
+
+    __slots__ = ()
 
     @property
     def is_self_node(self) -> bool:
         return self.ends[0] == self.ends[1]
 
 
-@dataclass(frozen=True)
-class Marking:
-    id: str
-    comp: str
-    gerbe_order: int = 1
+Marking = namedtuple("Marking", "id comp gerbe_order", defaults=(1,))
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    subject: str | None
-    detail: str
+class Violation(namedtuple("Violation", "kind subject detail")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "subject": self.subject, "detail": self.detail}
@@ -154,9 +142,6 @@ class TwistedCurve:
         return (self._components == other._components
                 and self._nodes == other._nodes
                 and self._markings == other._markings)
-
-    def __hash__(self):
-        return hash((self._components, self._nodes, self._markings))
 
     def __repr__(self):
         return (f"TwistedCurve({len(self._components)} components, "
@@ -346,9 +331,6 @@ class MultiDegree:
             return NotImplemented
         return self.n_factors == other.n_factors and self._deg == other._deg
 
-    def __hash__(self):
-        return hash((self.n_factors, frozenset(self._deg.items())))
-
     def __repr__(self):
         return f"MultiDegree(factors={self.n_factors}, nonzero={len(self._deg)})"
 
@@ -389,12 +371,12 @@ class MultiDegree:
         return cls(factors, deg)
 
 
-class GradingSpec:
+class GradingSpec(namedtuple("GradingSpec", "d weights")):
     """Per-factor generation bound d_k, optionally derived from weights."""
 
-    __slots__ = ("d", "weights")
+    __slots__ = ()
 
-    def __init__(self, d=None, weights=None):
+    def __new__(cls, d=None, weights=None):
         if weights is not None:
             weights = tuple(None if w is None else tuple(w) for w in weights)
             for k, w in enumerate(weights):
@@ -418,8 +400,7 @@ class GradingSpec:
                     raise CurveError(
                         f"factor {k}: d={d[k]} is not the maximal absolute weight"
                     )
-        self.d = d
-        self.weights = weights
+        return super().__new__(cls, d, weights)
 
     @property
     def n_factors(self) -> int:
@@ -431,14 +412,6 @@ class GradingSpec:
         return tuple(
             "weights" if w is not None else "given" for w in self.weights
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, GradingSpec):
-            return NotImplemented
-        return self.d == other.d and self.weights == other.weights
-
-    def __repr__(self):
-        return f"GradingSpec(d={self.d})"
 
     @classmethod
     def from_json_dict(cls, obj, pointer: str = "") -> "GradingSpec":

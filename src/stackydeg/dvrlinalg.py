@@ -22,7 +22,7 @@ can only mean det = 0, so the matrix is declared singular exactly then.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import SchemaError, is_int
 from .field import INFINITE, RatFunc, _porder, format_ratfunc, parse_ratfunc, t_power
@@ -69,17 +69,10 @@ class Mat:
     def entries(self) -> tuple:
         return self._e
 
-    def __getitem__(self, rc) -> RatFunc:
-        r, c = rc
-        return self._e[r][c]
-
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         return self._e == other._e
-
-    def __hash__(self):
-        return hash(self._e)
 
     def __repr__(self):
         body = "; ".join(
@@ -327,8 +320,7 @@ def _sub_product(dst: list, f: list, src: list, start: int, prec: int) -> None:
                     dst[j + k] -= fk * sj
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(namedtuple("SnfResult", "left diag_valuations right shift")):
     """Diagonalization data: left @ (t**shift * a) @ right is diagonal.
 
     Both transforms are invertible over the local ring (regular entries,
@@ -338,10 +330,7 @@ class SnfResult:
     were not asked for.
     """
 
-    left: Mat | None
-    diag_valuations: tuple
-    right: Mat | None
-    shift: int
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -374,46 +363,39 @@ def smith_normal_form(a: Mat, transforms: bool = True) -> SnfResult:
     n = a.rows
     ell = clear_denominators(a)
     shift = t_power(ell)
-    b = [[shift * a[i, j] for j in range(n)] for i in range(n)]
+    b = [[shift * x for x in row] for row in a.entries]
     left = [[RatFunc(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    # right is kept by columns, so its column operations are row operations
     right = [[RatFunc(1 if i == j else 0) for j in range(n)] for i in range(n)]
     diag = []
     for i in range(n):
-        best = None
-        for r in range(i, n):
-            for c in range(i, n):
-                v = b[r][c].val()
-                if v == INFINITE:
-                    continue
-                if best is None or v < best[0]:
-                    best = (v, r, c)
-        if best is None:
+        v, r, c = min((b[r][c].val(), r, c) for r in range(i, n) for c in range(i, n))
+        if v == INFINITE:
             raise SingularMatrixError("matrix is singular over the fraction field")
-        v, r, c = best
-        if r != i:
-            b[i], b[r] = b[r], b[i]
-            left[i], left[r] = left[r], left[i]
-        if c != i:
-            for row in b:
-                row[i], row[c] = row[c], row[i]
-            for row in right:
-                row[i], row[c] = row[c], row[i]
-        pinv = b[i][i].inv()
+        b[i], b[r] = b[r], b[i]
+        left[i], left[r] = left[r], left[i]
+        for row in b:
+            row[i], row[c] = row[c], row[i]
+        right[i], right[c] = right[c], right[i]
+        pivot_row = b[i]
+        pinv = pivot_row[i].inv()
         for r2 in range(i + 1, n):
-            if b[r2][i].is_zero():
-                continue
-            f = b[r2][i] * pinv  # regular: the pivot has minimal valuation
-            for c2 in range(n):
-                b[r2][c2] = b[r2][c2] - f * b[i][c2]
-                left[r2][c2] = left[r2][c2] - f * left[i][c2]
+            if not b[r2][i].is_zero():
+                f = b[r2][i] * pinv  # regular: the pivot has minimal valuation
+                _sub_row(b[r2], f, pivot_row)
+                _sub_row(left[r2], f, left[i])
+        # clearing row i of b would touch only row i, which is never read again
         for c2 in range(i + 1, n):
-            if b[i][c2].is_zero():
-                continue
-            f = b[i][c2] * pinv
-            for r2 in range(n):
-                b[r2][c2] = b[r2][c2] - f * b[r2][i]
-                right[r2][c2] = right[r2][c2] - f * right[r2][i]
+            if not pivot_row[c2].is_zero():
+                _sub_row(right[c2], pivot_row[c2] * pinv, right[i])
         diag.append(v)
     if any(diag[i] > diag[i + 1] for i in range(n - 1)):
         raise AssertionError("diagonal valuations came out unsorted")
-    return SnfResult(Mat(left), tuple(diag), Mat(right), ell)
+    return SnfResult(Mat(left), tuple(diag), Mat(zip(*right)), ell)
+
+
+def _sub_row(row: list, f: RatFunc, pivot_row: list) -> None:
+    """row -= f * pivot_row, in place, skipping the zeros of pivot_row."""
+    for k, x in enumerate(pivot_row):
+        if not x.is_zero():
+            row[k] = row[k] - f * x

@@ -37,9 +37,10 @@ the final check compares it with a full sum over the limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 
 from .blowup import AnSing, ContractionError, contract_singularity, theta_smoothing_order
 from .curve import (
@@ -90,13 +91,17 @@ class DegenerationValidationError(EngineError):
                 "validation": _validation_json(self.violations)}
 
 
-@dataclass
-class DegenerationInput:
-    curve: TwistedCurve
-    multidegree: MultiDegree
-    grading: GradingSpec
-    gluing: dict = field(default_factory=dict)
-    extra_mu: dict = field(default_factory=dict)
+# the default gluing and extra_mu: read-only, so no two inputs share edits
+_EMPTY = MappingProxyType({})
+
+
+class DegenerationInput(namedtuple("DegenerationInput",
+                                   "curve multidegree grading gluing extra_mu",
+                                   defaults=(_EMPTY, _EMPTY))):
+    """The generic fiber, its grading and, keyed by node id, the gluing
+    matrices and extra cyclic orders."""
+
+    __slots__ = ()
 
     def validate(self) -> None:
         """Cross-check the parts of the input against each other.
@@ -134,11 +139,9 @@ class DegenerationInput:
             check_order(k, p)
 
 
-@dataclass
-class DegenerationOutput:
-    limit_curve: TwistedCurve
-    limit_multidegree: MultiDegree
-    log: list
+class DegenerationOutput(namedtuple("DegenerationOutput",
+                                    "limit_curve limit_multidegree log")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -2,7 +2,9 @@
 
 They build test matrices and state the properties the suites check, on
 top of the package's public types; the package itself never calls them.
-The polynomial helpers are the reference reduction of ``RatFunc``:
+``pushforward_contains`` and ``different_degree`` are paper formulas
+that ``test_blowup`` and acceptance tests C4 and C7 check. The
+polynomial helpers are the reference reduction of ``RatFunc``:
 Euclid's algorithm over Q on Fraction coefficients. The curve helpers
 are a reference for ``validate_twisted_map``: a
 breadth-first connectivity test, the dualizing degree of each component,
@@ -17,6 +19,7 @@ from math import lcm
 
 from stackydeg import (
     INFINITE,
+    BlowupParams,
     Mat,
     RatFunc,
     SingularMatrixError,
@@ -42,7 +45,8 @@ def matmul(first: Mat, *rest: Mat) -> Mat:
     for other in rest:
         if out.cols != other.rows:
             raise ValueError("matrix dimensions do not match")
-        out = Mat([[sum((out[i, k] * other[k, j] for k in range(out.cols)), RatFunc(0))
+        x, y = out.entries, other.entries
+        out = Mat([[sum((x[i][k] * y[k][j] for k in range(out.cols)), RatFunc(0))
                     for j in range(other.cols)] for i in range(out.rows)])
     return out
 
@@ -67,6 +71,34 @@ def is_regular_at_origin(f: RatFunc) -> bool:
 def is_smooth(sing) -> bool:
     """True for the transverse germ xy = z."""
     return sing.a == 1
+
+
+# -- paper formulas on blow-ups and quotient points ------------------------------
+
+
+def pushforward_contains(p: BlowupParams, k: int, monomial: tuple) -> bool:
+    """Certified containment in the pushforward of the k-th ideal power.
+
+    For k <= 0 the pushforward is the whole structure sheaf, so any
+    monomial is contained. For k > 0 this tests membership of
+    pi**a_pi * y**a_y in the monomial ideal (pi**(m*k), y**ceil(k/d)),
+    which is a lower bound for the true pushforward, not an exact
+    membership oracle.
+    """
+    a_pi, a_y = monomial
+    if a_pi < 0 or a_y < 0:
+        raise ValueError("monomial exponents must be non-negative")
+    if k <= 0:
+        return True
+    return a_pi >= p.m * k or a_y >= -(-k // p.d)
+
+
+def different_degree(km: int, kn: int) -> Fraction:
+    """Degree of the log-canonical restriction to a curve through two
+    cyclic quotient points of orders km and kn: -2 + (1-1/km) + (1-1/kn)."""
+    if km < 1 or kn < 1:
+        raise ValueError("orders must be positive integers")
+    return Fraction(-2) + (1 - Fraction(1, km)) + (1 - Fraction(1, kn))
 
 
 # -- the reference reduction over Q --------------------------------------------

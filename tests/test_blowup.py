@@ -10,13 +10,11 @@ from stackydeg import (
     ContractionError,
     an_blowup_step,
     contract_singularity,
-    different_degree,
     mu_action_on_blowup,
-    pushforward_contains,
     resolve_An,
     twisted_blowup,
 )
-from oracle import is_smooth
+from oracle import different_degree, is_smooth, pushforward_contains
 
 
 # -- twisted blow-up -------------------------------------------------------------

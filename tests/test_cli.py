@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -615,7 +614,7 @@ def test_disconnected_limit_is_a_validation_failure(tmp_path, monkeypatch):
 
     def cut(state, md, log):
         contract(state, md, log)
-        state.nodes.update({nid: replace(n, ends=ends[nid])
+        state.nodes.update({nid: n._replace(ends=ends[nid])
                             for nid, n in state.nodes.items() if nid in ends})
 
     monkeypatch.setattr(engine, "_contract_pass", cut)
@@ -892,3 +891,54 @@ def test_unwritable_artifact_exit_2_with_pointer(tmp_path, capsys, flag, target,
     assert captured.err == (
         f"input error: /{flag}: cannot write {path}: {os.strerror(err)}\n")
     assert captured.out == ""
+
+
+# -- a stdout that cannot be written: exit 2 at /out, with no traceback ----------
+
+STDOUT_COMMANDS = {
+    "scenario": ["scenario", "theta-example-3"],
+    "snf": ["snf", "{matrix}"],
+    "blowup": ["blowup", "--m", "2", "--d", "3", "--mu", "2"],
+    "resolve": ["resolve", "--a", "6"],
+}
+
+
+@pytest.mark.parametrize("stdout, reason", [
+    ("closed", "stdout is closed"),
+    ("/dev/full", os.strerror(errno.ENOSPC)),
+], ids=["closed", "dev-full"])
+@pytest.mark.parametrize("command", sorted(STDOUT_COMMANDS))
+def test_unwritable_stdout_exit_2_with_pointer(tmp_path, command, stdout, reason):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(
+        {"rows": 2, "cols": 2, "entries": [["t", "t"], ["t", "t^3"]]}))
+    argv = [a.format(matrix=matrix) for a in STDOUT_COMMANDS[command]]
+    # stdout buffered, as a user has it: Python retries a failed flush at exit
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    cmd = [sys.executable, "-c",
+           "import sys; from stackydeg.cli import main; sys.exit(main(sys.argv[1:]))",
+           *argv]
+    if stdout == "closed":
+        proc = subprocess.run(cmd, env=env, stderr=subprocess.PIPE, text=True,
+                              timeout=60, preexec_fn=lambda: os.close(1))
+    else:
+        with open(stdout, "w") as fh:
+            proc = subprocess.run(cmd, env=env, stdout=fh, stderr=subprocess.PIPE,
+                                  text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"input error: /out: cannot write <stdout>: {reason}\n"
+
+
+# -- the import graph: records are named tuples, so no dataclasses ---------------
+
+def test_cli_import_loads_no_dataclasses():
+    # -S: the site hooks of an environment may import modules of their own
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, stackydeg.cli; print('dataclasses' in sys.modules)"],
+        env=_child_env(), capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "False\n"
+    sources = sorted((SRC / "stackydeg").glob("*.py"))
+    assert sources
+    assert [p.name for p in sources if "dataclass" in p.read_text(encoding="utf-8")] == []

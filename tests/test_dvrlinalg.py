@@ -107,9 +107,9 @@ def _assert_snf_consistent(a, r):
     for i in range(n):
         for j in range(n):
             if i == j:
-                assert prod[i, j].val() == r.diag_valuations[i]
+                assert prod.entries[i][j].val() == r.diag_valuations[i]
             else:
-                assert prod[i, j].is_zero()
+                assert prod.entries[i][j].is_zero()
     assert r.left.det().val() == 0
     assert r.right.det().val() == 0
     assert list(r.diag_valuations) == sorted(r.diag_valuations)
@@ -227,8 +227,9 @@ def _sympy_orders(a):
     common = sympy.Integer(1)
     for q in dens:
         common *= poly(q)
+    e = a.entries
     m = sympy.Matrix(a.rows, a.cols, lambda i, j: sympy.cancel(
-        poly(a[i, j].numerator) * common / poly(a[i, j].denominator)))
+        poly(e[i][j].numerator) * common / poly(e[i][j].denominator)))
     shift = clear_denominators(a)
     common_order = sum(_first_nonzero(q) for q in dens)
     orders = []

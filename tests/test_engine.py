@@ -283,6 +283,17 @@ def test_degenerate_unimodular_is_identity():
     assert not [r for r in out.log if r["type"] in ("insert", "contract")]
 
 
+def test_input_defaults_are_read_only():
+    # one default mapping serves every input, so it must refuse edits
+    c = TwistedCurve([Component("A", 2)])
+    inp = DegenerationInput(c, MultiDegree(1, {(0, "A"): 1}), GradingSpec(d=(1,)))
+    for default in (inp.gluing, inp.extra_mu):
+        assert dict(default) == {}
+        with pytest.raises(TypeError):
+            default["n"] = 1
+    assert degenerate(inp).limit_curve == c
+
+
 def test_degenerate_theta_example_matches_golden():
     doc = builtin_scenario("theta-example-2", k=2, d=2, m=1)
     out = degenerate(degeneration_input_from_json(doc))

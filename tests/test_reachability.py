@@ -5,8 +5,9 @@ product path reaches it.
 
 Functions are matched by code object, not by ``co_qualname`` (which
 Python 3.10 lacks). Comprehensions are not collected (3.12 inlines
-them), nor are closures; methods that ``dataclass`` generates have no
-source file in ``src/`` and are skipped.
+them), nor are closures. The records are named tuples; the methods
+that ``namedtuple`` generates live in ``collections``, not in ``src/``,
+and are skipped.
 """
 
 import importlib
@@ -30,32 +31,25 @@ from support import (
 MODULES = [stackydeg] + [importlib.import_module(f"stackydeg.{m.name}")
                          for m in pkgutil.iter_modules(stackydeg.__path__)]
 
-_VALUE = "equality, hashing or repr for library callers and tests; no command needs it"
+_REPR = "pytest prints it when a test comparison fails"
 
 ALLOWLIST = {
     "engine.contract_torsion_components": "perfbench/checks.py re-contracts each limit",
     "dvrlinalg.Mat.det": "the tracer patches them; ROADMAP item 1",
     "dvrlinalg.Mat.inverse": "the tracer patches them; ROADMAP item 1",
-    "blowup.different_degree": "library formula, checked by test_blowup and C4",
-    "blowup.pushforward_contains": "library formula, checked by test_blowup and C7",
     "field._prs_gcd": "fallback for when GCDHEU gives up, which no known input does",
     "field.RatFunc.__bool__": "without it the zero function would be truthy",
     "field.RatFunc.__truediv__": "division for library callers; test_field divides",
     "field.RatFunc.__str__": "str() for library callers; commands call format_ratfunc",
-    "field.RatFunc.__eq__": _VALUE,
-    "field.RatFunc.__hash__": _VALUE,
-    "field.RatFunc.__repr__": _VALUE,
-    "dvrlinalg.Mat.__eq__": _VALUE,
-    "dvrlinalg.Mat.__hash__": _VALUE,
-    "dvrlinalg.Mat.__repr__": _VALUE,
-    "curve.TwistedCurve.__eq__": _VALUE,
-    "curve.TwistedCurve.__hash__": _VALUE,
-    "curve.TwistedCurve.__repr__": _VALUE,
-    "curve.MultiDegree.__eq__": _VALUE,
-    "curve.MultiDegree.__hash__": _VALUE,
-    "curve.MultiDegree.__repr__": _VALUE,
-    "curve.GradingSpec.__eq__": _VALUE,
-    "curve.GradingSpec.__repr__": _VALUE,
+    "field.RatFunc.__eq__": "test_field compares functions",
+    "field.RatFunc.__hash__": "test_field checks that equal functions hash equal",
+    "field.RatFunc.__repr__": _REPR,
+    "dvrlinalg.Mat.__eq__": "test_dvrlinalg compares transforms and parsed matrices",
+    "dvrlinalg.Mat.__repr__": _REPR,
+    "curve.TwistedCurve.__eq__": "perfbench/checks.py compares the re-contracted limit",
+    "curve.TwistedCurve.__repr__": _REPR,
+    "curve.MultiDegree.__eq__": "test_engine compares contracted degrees",
+    "curve.MultiDegree.__repr__": _REPR,
 }
 
 
